@@ -134,7 +134,7 @@ def canonical_rows(basis, tol: float = 1e-9) -> np.ndarray:
 
 
 def reduce_basis(basis, tol: float = 1e-9) -> np.ndarray:
-    """LLL reduction followed by the canonical sign/sort normalization."""
+    """LLL reduction followed by the canonical sign normalization."""
     b = np.asarray(basis, dtype=float)
     if b.shape[0] == 0:
         return b
@@ -298,7 +298,6 @@ class LatticeSolver:
         if self.rank == 0:
             self.basis = b.reshape(0, self.dim)
             self.covering_bound = 0.0
-            self.cell_circumradius = 0.0
             return
         self.basis = lll_reduce(b)
         self.gramm = gram(self.basis)
@@ -308,8 +307,6 @@ class LatticeSolver:
         self.gs_norms = np.linalg.norm(bstar, axis=1)
         # nearest-plane output is within this distance of the target
         self.covering_bound = 0.5 * float(np.sqrt(np.sum(self.gs_norms ** 2)))
-        row_norms = np.linalg.norm(self.basis, axis=1)
-        self.cell_circumradius = 0.5 * float(np.sum(row_norms))
         self._bstar = bstar
         self._bstar_sq = np.einsum("ij,ij->i", bstar, bstar)
         self._offsets = self._build_offsets()

@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from . import local, metric, plane
 from .duality import dual
@@ -19,17 +18,6 @@ from .metric import MetricParams, chabauty_distance, classify_limit, \
     degeneration_family
 from .serialize import dumps, format_float, load_subgroup, subgroup_to_dict
 from .subgroup import random_subgroup, standard_subgroup, type_of
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    command: str
-    inputs: tuple = ()
-    params: MetricParams = field(default_factory=MetricParams)
-    seed: int = 0
-    out: str | None = None
-    format: str | None = None
-    options: dict = field(default_factory=dict)
 
 
 def _parent() -> argparse.ArgumentParser:
@@ -269,12 +257,7 @@ def run(argv) -> int:
         sys.stderr.write("error: only the atlas command emits CSV\n")
         return 2
     try:
-        params = _load_params(ns.params)
-        job = JobSpec(command=ns.command,
-                      inputs=tuple(getattr(ns, "inputs", ()) or ()),
-                      params=params, seed=ns.seed, out=ns.out,
-                      format=ns.format)
-        text = _run_command(ns, job.params)
+        text = _run_command(ns, _load_params(ns.params))
     except (ChabautyError, OSError, json.JSONDecodeError) as exc:
         error = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
         _write(ns.out, dumps(error) + "\n")

@@ -8,6 +8,7 @@ the discrete part, the rest are infinity.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -38,7 +39,12 @@ def _generation_radii_sorted(basis: np.ndarray, rank_tol: float,
                              cap: int):
     """Enumerate every lattice point up to the largest basis norm,
     sorted by norm, and record the radii where the span rank jumps
-    together with the points realizing them."""
+    together with the points realizing them.
+
+    One residual array holds every point with the accepted directions
+    projected out, in the order they were accepted; each step accepts
+    the first point whose residual is not negligible and projects its
+    direction out of the points after it."""
     q = basis.shape[0]
     row_norms = np.linalg.norm(basis, axis=1)
     pts, _ = _lattice.enumerate_ball(
@@ -46,21 +52,22 @@ def _generation_radii_sorted(basis: np.ndarray, rank_tol: float,
     sizes = np.linalg.norm(pts, axis=1)
     keep = sizes > rank_tol
     pts, sizes = pts[keep], sizes[keep]
-    ortho: list[np.ndarray] = []
-    radii = []
-    realizers = []
-    for v, r in zip(pts, sizes):
-        resid = v.copy()
-        for u in ortho:
-            resid -= (resid @ u) * u
-        nr = np.linalg.norm(resid)
-        if nr > rank_tol * max(1.0, r):
-            ortho.append(resid / nr)
-            radii.append(r)
-            realizers.append(v)
-            if len(radii) == q:
-                break
-    return np.array(radii), np.array(realizers)
+    resid = pts.copy()
+    thresholds = rank_tol * np.maximum(1.0, sizes)
+    picked = []
+    start = 0
+    while len(picked) < q:
+        above = np.flatnonzero(
+            np.linalg.norm(resid[start:], axis=1) > thresholds[start:])
+        if above.size == 0:
+            break
+        i = start + int(above[0])
+        u = resid[i] / np.linalg.norm(resid[i])
+        picked.append(i)
+        start = i + 1
+        tail = resid[start:]
+        tail -= np.outer(tail @ u, u)
+    return sizes[picked], pts[picked]
 
 
 def _generation_radii_projected(basis: np.ndarray, rank_tol: float,
@@ -112,6 +119,10 @@ def _generation_radii_projected(basis: np.ndarray, rank_tol: float,
     return np.array(radii), np.array(realizers)
 
 
+_generation_memo: "weakref.WeakKeyDictionary[ClosedSubgroup, dict]" = \
+    weakref.WeakKeyDictionary()
+
+
 def generation_data(group: ClosedSubgroup, rank_tol: float = 1e-9,
                     cap: int = 1_000_000):
     """Successive norms together with the lattice vectors realizing the
@@ -119,7 +130,23 @@ def generation_data(group: ClosedSubgroup, rank_tol: float = 1e-9,
 
     The realizers span, radius by radius, the same flag of subspaces as
     the full point sets do, which lets callers build scale
-    decompositions without enumerating medium-radius balls."""
+    decompositions without enumerating medium-radius balls.
+
+    Computed once per subgroup object and arguments: the result is kept
+    for as long as the subgroup lives and both arrays are read-only.
+    Concurrent first calls on one subgroup may each compute it; the
+    values are equal."""
+    key = (rank_tol, cap)
+    hit = _generation_memo.get(group, {}).get(key)
+    if hit is None:
+        hit = _generation_data(group, rank_tol, cap)
+        for arr in hit:
+            arr.setflags(write=False)
+        _generation_memo.setdefault(group, {})[key] = hit
+    return hit
+
+
+def _generation_data(group: ClosedSubgroup, rank_tol: float, cap: int):
     n = group.ambient_dim
     p = group.continuous_dim
     q = group.discrete_rank

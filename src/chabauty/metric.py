@@ -74,7 +74,6 @@ class _TargetProfile:
     """Cached distance oracle for a fixed target subgroup."""
 
     def __init__(self, group: ClosedSubgroup):
-        self.group = group
         self.cont = group.continuous_basis
         self.has_cont = self.cont.shape[0] > 0
         if group.discrete_rank:
@@ -318,11 +317,6 @@ def _cell_sup_full(target: ClosedSubgroup, params: MetricParams,
     return value, arg, certified
 
 
-def _cell_sup(target: ClosedSubgroup, params: MetricParams,
-              stop_above) -> float:
-    return _cell_sup_full(target, params, stop_above)[0]
-
-
 _enum_cache: "weakref.WeakKeyDictionary[ClosedSubgroup, tuple]" = \
     weakref.WeakKeyDictionary()
 
@@ -465,7 +459,7 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
     # the covering radius, so beyond it the sup no longer depends on R
     if ps == n and prof.covering < math.inf and prof.solver is not None \
             and radius >= prof.covering:
-        return _cell_sup(dst, params, stop_above)
+        return _cell_sup_full(dst, params, stop_above)[0]
     int_basis = src.discrete_basis if qs else None
     int_lips = None
     int_bounds = None

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import chabauty as ch
-from chabauty.errors import WrongAmbientDim
-from chabauty.invariants import INDETERMINATE, _generation_radii_projected
+from chabauty import _lattice
+from chabauty.errors import EnumerationBudgetExceeded, WrongAmbientDim
+from chabauty.invariants import (INDETERMINATE, _generation_radii_projected,
+                                 _generation_radii_sorted, generation_data)
 
 from conftest import brute_norms, random_group
 
@@ -134,3 +136,80 @@ def test_norm_continuity_along_family():
         deltas.append(np.max(np.abs(ch.norms(a) - ch.norms(b)))
                       / (t1 - t0))
     assert max(deltas) <= 1.0 + 1e-9
+
+
+def _sorted_path_bases(rng, per_dim):
+    """Seeded full-rank bases at n = 1..5, half of them squeezed along
+    one axis so that the ball holds many points of low rank, all small
+    enough for the sorted enumeration path."""
+    for n in range(1, 6):
+        for k in range(per_dim):
+            g = random_group(rng, n, (0, n))
+            if k % 2:
+                scales = np.ones(n)
+                scales[rng.integers(n)] = np.exp(rng.uniform(-3.5, -1.0))
+                g = ch.apply_linear(np.diag(scales), g)
+            basis = g.discrete_basis
+            nu = _lattice.dual_coefficient_norms(basis)
+            rmax = float(np.linalg.norm(basis, axis=1).max())
+            assert np.prod(2 * np.floor(rmax * nu + 1e-9) + 1) <= 262_144
+            yield g
+
+
+def _per_point_radii(basis, rank_tol, cap):
+    """Reference for the sorted pass: one point at a time, each point's
+    residual built from scratch against the accepted directions."""
+    q = basis.shape[0]
+    row_norms = np.linalg.norm(basis, axis=1)
+    pts, _ = _lattice.enumerate_ball(
+        basis, float(row_norms.max()) * (1 + 1e-12), cap)
+    sizes = np.linalg.norm(pts, axis=1)
+    keep = sizes > rank_tol
+    ortho, radii, realizers = [], [], []
+    for v, r in zip(pts[keep], sizes[keep]):
+        resid = v.copy()
+        for u in ortho:
+            resid -= (resid @ u) * u
+        nr = np.linalg.norm(resid)
+        if nr > rank_tol * max(1.0, r):
+            ortho.append(resid / nr)
+            radii.append(r)
+            realizers.append(v)
+            if len(radii) == q:
+                break
+    return np.array(radii), np.array(realizers)
+
+
+def test_sorted_pass_matches_per_point_reference(rng):
+    for g in _sorted_path_bases(rng, 12):
+        radii, realizers = _generation_radii_sorted(
+            g.discrete_basis, 1e-9, 10 ** 6)
+        ref_radii, ref_realizers = _per_point_radii(
+            g.discrete_basis, 1e-9, 10 ** 6)
+        assert np.array_equal(radii, ref_radii)
+        assert np.array_equal(realizers, ref_realizers)
+
+
+def test_sorted_path_norms_match_brute_oracle(rng):
+    for g in _sorted_path_bases(rng, 6):
+        np.testing.assert_allclose(ch.norms(g), brute_norms(g), atol=1e-9)
+
+
+def test_generation_data_repeats_read_only():
+    g = ch.make_subgroup(2, None, [(1.0, 0.0), (0.5, 0.9)])
+    vals, realizers = generation_data(g)
+    again, again_realizers = generation_data(g)
+    np.testing.assert_array_equal(again, vals)
+    np.testing.assert_array_equal(again_realizers, realizers)
+    for arr in (vals, realizers, ch.norms(g)):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    np.testing.assert_array_equal(ch.norms(g), [1.0, math.hypot(0.5, 0.9)])
+
+
+def test_generation_data_budget_failure_not_cached():
+    g = ch.standard_subgroup(3, 0, 3)  # 7 points in the unit ball
+    for _ in range(2):
+        with pytest.raises(EnumerationBudgetExceeded):
+            generation_data(g, cap=5)
+    np.testing.assert_allclose(ch.norms(g), [1.0, 1.0, 1.0])

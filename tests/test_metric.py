@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import chabauty as ch
+from chabauty import invariants, metric
 from chabauty.errors import InvalidPair, Unstable
 
 from conftest import random_group
@@ -161,3 +165,22 @@ def test_params_validation():
         ch.MetricParams(radii=(1.0, 1.0), weights=(1.0, 0.5))
     with pytest.raises(ValueError):
         ch.MetricParams(grid=0.0)
+
+
+def test_caches_free_their_subgroups():
+    caches = (metric._profiles, metric._cell_sups, metric._enum_cache,
+              invariants._generation_memo)
+    gc.collect()
+    before = [len(c) for c in caches]
+    a = ch.make_subgroup(2, None, [(1.0, 0.0), (0.3, 1.1)])
+    b = ch.make_subgroup(2, None, [(1.02, 0.01), (0.29, 1.12)])
+    plane = ch.standard_subgroup(2, 2, 0)
+    ch.chabauty_distance(a, b)
+    ch.chabauty_distance(plane, a)
+    ch.norms(a)
+    assert all(len(c) > n for c, n in zip(caches, before))
+    refs = [weakref.ref(g) for g in (a, b, plane)]
+    del a, b, plane
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert [len(c) for c in caches] == before
