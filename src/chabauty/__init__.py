@@ -6,8 +6,8 @@ strata bookkeeping, and the explicit structure of the plane case."""
 from .errors import (BasePointNotAligned, ChabautyError, DimensionMismatch,
                      EnumerationBudgetExceeded, FlagsTooFar, InconsistentData,
                      InvalidPair, InvalidStratum, InvalidType,
-                     NonClosedInput, NotDecomposable, NotInC1,
-                     NotInNeighborhood, NotLattice, NotUnitSystole,
+                     NonClosedInput, NonFiniteInput, NotDecomposable,
+                     NotInC1, NotInNeighborhood, NotLattice, NotUnitSystole,
                      OutOfRange, SingularBasePoint, SingularMatrix,
                      Unstable, WrongAmbientDim)
 from .subgroup import (ClosedSubgroup, GroupType, RandomSubgroupParams,

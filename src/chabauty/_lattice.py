@@ -4,6 +4,11 @@ ball enumeration and closest-vector queries.
 Bases are stored as row vectors.  All reductions act by integer row
 operations only, so the generated lattice is preserved exactly up to
 floating point error in the vector entries themselves.
+
+Ball enumeration and closest-vector queries share one lattice-point
+search, ``_fincke_pohst`` (Fincke & Pohst, Math. Comp. 1985), run
+breadth-first so that numpy treats every node of a level at once.  Its
+one budget is the number of nodes a level may hold for one target.
 """
 from __future__ import annotations
 
@@ -51,10 +56,6 @@ def orthonormal_complement(rows, n: int, tol: float = 1e-9) -> np.ndarray:
     return vt[rank:]
 
 
-def gram(basis: np.ndarray) -> np.ndarray:
-    return basis @ basis.T
-
-
 def dual_coefficient_norms(basis: np.ndarray) -> np.ndarray:
     """Norms of the dual basis vectors.
 
@@ -62,8 +63,7 @@ def dual_coefficient_norms(basis: np.ndarray) -> np.ndarray:
     |c_i| <= |x| * dual_coefficient_norms(basis)[i], which bounds
     enumeration boxes.
     """
-    g = gram(basis)
-    return np.sqrt(np.diag(np.linalg.inv(g)))
+    return np.sqrt(np.diag(np.linalg.inv(basis @ basis.T)))
 
 
 def _gso(basis: np.ndarray):
@@ -226,18 +226,55 @@ def basis_from_generators(gens, zero_tol: float):
     return bmat, cmat, rmat
 
 
-def _coefficient_ranges(basis: np.ndarray, radius: float) -> np.ndarray:
-    nu = dual_coefficient_norms(basis)
-    return np.floor(radius * nu + 1e-9).astype(np.int64)
+def _fincke_pohst(mu, bstar_sq, centres, bound2, cap=1_000_000):
+    """Breadth-first Fincke-Pohst search in Gram-Schmidt coordinates.
+
+    Row t of ``centres`` is a target in Gram-Schmidt coordinates and
+    ``bound2[t]`` its squared search radius.  Returns ``(owner, coeffs)``
+    with one row per integer vector c whose lattice point lies within
+    that radius of target ``owner``; the squared radius gets a relative
+    1e-9 margin so that rounding loses no point on the sphere.  Level j
+    fixes c_j of every node at once, from the last basis vector down.
+    A node keeps the squared radius left after the distance along
+    b*_j..b*_{q-1}, which no later choice changes, so pruning loses no
+    point.  Raises EnumerationBudgetExceeded when a level would hold
+    more than ``cap`` nodes for one target.
+    """
+    m, q = centres.shape
+    owner = np.arange(m)
+    coeffs = np.zeros((m, q), dtype=np.int64)
+    ctr = np.array(centres, dtype=float)
+    rest = np.asarray(bound2, dtype=float) * (1.0 + 1e-9)
+    for j in range(q - 1, -1, -1):
+        w = np.sqrt(np.maximum(rest, 0.0) / bstar_sq[j])
+        lo = np.ceil(ctr[:, j] - w)
+        k = np.floor(ctr[:, j] + w) - lo + 1  # >= 0 because w >= 0
+        if k.sum() > cap:
+            worst = np.bincount(owner, weights=k).max()
+            if worst > cap:
+                raise EnumerationBudgetExceeded(
+                    f"lattice search needs {worst:.0f} nodes on one level, "
+                    f"over the cap of {cap}")
+        k = k.astype(np.int64)
+        idx = np.repeat(np.arange(k.size), k)
+        c = np.arange(idx.size) - np.repeat(np.cumsum(k) - k - lo, k)
+        ctr = ctr[idx]
+        d = c - ctr[:, j]
+        rest = rest[idx] - d * d * bstar_sq[j]
+        ctr = ctr[:, :j] - c[:, None] * mu[j, :j]
+        coeffs = coeffs[idx]
+        coeffs[:, j] = c
+        owner = owner[idx]
+    return owner, coeffs
 
 
 def enumerate_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
     """All lattice points of squared norm <= radius^2 (tiny slack included).
 
     Returns ``(points, coeffs)`` sorted by (norm, lexicographic); the
-    origin is always included.  Raises EnumerationBudgetExceeded if the
-    number of returned points would exceed ``cap`` or the search box is
-    hopelessly larger than the cap.
+    origin is always included.  The points come from the Fincke-Pohst
+    search centred at the origin, which raises EnumerationBudgetExceeded
+    when one of its levels would hold more than ``cap`` nodes.
     """
     basis = np.asarray(basis, dtype=float)
     q = basis.shape[0]
@@ -246,36 +283,14 @@ def enumerate_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
         raise ValueError("radius must be nonnegative")
     if q == 0:
         return np.zeros((1, n)), np.zeros((1, 0), dtype=np.int64)
-    bounds = _coefficient_ranges(basis, radius)
-    sizes = 2 * bounds + 1
-    total = int(np.prod(sizes.astype(object)))
-    if total > 32 * max(cap, 1):
-        raise EnumerationBudgetExceeded(
-            f"enumeration box of {total} candidates exceeds the cap {cap}")
     rcut = radius * (1.0 + 1e-12) + 1e-12
     rcut2 = rcut * rcut
-    pts_chunks = []
-    coef_chunks = []
-    kept = 0
-    # chunk along the first coefficient axis to bound memory
-    first = np.arange(-bounds[0], bounds[0] + 1, dtype=np.int64)
-    rest = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds[1:]]
-    rest_total = int(np.prod([len(r) for r in rest])) if rest else 1
-    chunk = max(1, int(2_000_000 // max(rest_total, 1)))
-    for start in range(0, len(first), chunk):
-        f = first[start:start + chunk]
-        grids = np.meshgrid(f, *rest, indexing="ij")
-        cs = np.stack([gg.reshape(-1) for gg in grids], axis=1)
-        pts = cs @ basis
-        keep = np.einsum("ij,ij->i", pts, pts) <= rcut2
-        kept += int(np.sum(keep))
-        if kept > cap:
-            raise EnumerationBudgetExceeded(
-                f"more than {cap} lattice points in the ball")
-        pts_chunks.append(pts[keep])
-        coef_chunks.append(cs[keep])
-    pts = np.concatenate(pts_chunks, axis=0)
-    cs = np.concatenate(coef_chunks, axis=0)
+    bstar, mu = _gso(basis)
+    _, cs = _fincke_pohst(mu, np.einsum("ij,ij->i", bstar, bstar),
+                          np.zeros((1, q)), np.array([rcut2]), cap)
+    pts = cs @ basis
+    keep = np.einsum("ij,ij->i", pts, pts) <= rcut2
+    pts, cs = pts[keep], cs[keep]
     norms = np.linalg.norm(pts, axis=1)
     keys = [np.round(pts[:, j], 9) for j in range(n - 1, -1, -1)]
     keys.append(np.round(norms, 9))
@@ -286,9 +301,11 @@ def enumerate_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
 class LatticeSolver:
     """Exact batched closest-vector queries against a fixed lattice.
 
-    The basis is LLL-reduced once; queries run a vectorized
-    nearest-plane step followed by enumeration of a precomputed offset
-    box that provably contains the true closest vector.
+    The basis is LLL-reduced once.  A query keeps the nearest-plane
+    (Babai) point when its in-span residual is below half the shortest
+    Gram-Schmidt norm, hence below half the shortest lattice vector, so
+    that no other point is as close; other targets run the Fincke-Pohst
+    search within their nearest-plane distance.
     """
 
     def __init__(self, basis):
@@ -300,30 +317,11 @@ class LatticeSolver:
             self.covering_bound = 0.0
             return
         self.basis = lll_reduce(b)
-        self.gramm = gram(self.basis)
-        self.gram_inv = np.linalg.inv(self.gramm)
-        self.dual_norms = np.sqrt(np.diag(self.gram_inv))
-        bstar, _ = _gso(self.basis)
-        self.gs_norms = np.linalg.norm(bstar, axis=1)
+        self._bstar, self._mu = _gso(self.basis)
         # nearest-plane output is within this distance of the target
-        self.covering_bound = 0.5 * float(np.sqrt(np.sum(self.gs_norms ** 2)))
-        self._bstar = bstar
-        self._bstar_sq = np.einsum("ij,ij->i", bstar, bstar)
-        self._offsets = self._build_offsets()
-
-    def _build_offsets(self) -> np.ndarray:
-        reach = 2.0 * self.covering_bound
-        ks = np.ceil(self.dual_norms * reach + 1e-9).astype(np.int64)
-        ks = np.minimum(ks, 6)  # reduced bases never need more in low rank
-        ranges = [np.arange(-k, k + 1, dtype=np.int64) for k in ks]
-        grids = np.meshgrid(*ranges, indexing="ij")
-        offs = np.stack([gg.reshape(-1) for gg in grids], axis=1)
-        lens = np.linalg.norm(offs @ self.basis, axis=1)
-        offs = offs[lens <= reach * (1.0 + 1e-9)]
-        if offs.shape[0] > 200_000:
-            raise EnumerationBudgetExceeded(
-                "closest-vector offset box unreasonably large")
-        return offs
+        self.covering_bound = 0.5 * float(
+            np.sqrt(np.sum(np.linalg.norm(self._bstar, axis=1) ** 2)))
+        self._bstar_sq = np.einsum("ij,ij->i", self._bstar, self._bstar)
 
     def nearest_plane(self, targets: np.ndarray) -> np.ndarray:
         """Babai nearest-plane coefficients, vectorized over rows."""
@@ -342,20 +340,22 @@ class LatticeSolver:
         if self.rank == 0:
             return np.linalg.norm(y, axis=1), np.zeros((y.shape[0], 0),
                                                        dtype=np.int64)
-        m = y.shape[0]
-        base = self.nearest_plane(y)
-        best_d = np.full(m, np.inf)
-        best_c = base.copy()
-        n_off = self._offsets.shape[0]
-        chunk = max(1, int(4_000_000 // max(n_off, 1)))
-        for start in range(0, m, chunk):
-            sl = slice(start, min(start + chunk, m))
-            cand = base[sl][:, None, :] + self._offsets[None, :, :]
-            pts = cand.astype(float) @ self.basis
-            diff = pts - y[sl][:, None, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            arg = np.argmin(d2, axis=1)
-            rows = np.arange(sl.stop - sl.start)
-            best_d[sl] = np.sqrt(d2[rows, arg])
-            best_c[sl] = cand[rows, arg]
-        return best_d, best_c
+        coeffs = self.nearest_plane(y)
+        diff = coeffs @ self.basis - y
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        gs = (diff @ self._bstar.T) / self._bstar_sq
+        resid2 = (gs * gs) @ self._bstar_sq
+        todo = np.flatnonzero(resid2 >= 0.25 * self._bstar_sq.min())
+        if todo.size:
+            centres = (y[todo] @ self._bstar.T) / self._bstar_sq
+            owner, cand = _fincke_pohst(self._mu, self._bstar_sq, centres,
+                                        resid2[todo])
+            cdiff = cand @ self.basis - y[todo[owner]]
+            cd2 = np.einsum("ij,ij->i", cdiff, cdiff)
+            order = np.lexsort((cd2, owner))
+            grp = owner[order]
+            first = order[np.concatenate(([True], grp[1:] != grp[:-1]))]
+            rows = todo[owner[first]]
+            d2[rows] = cd2[first]
+            coeffs[rows] = cand[first]
+        return np.sqrt(d2), coeffs

@@ -15,8 +15,12 @@ class NonClosedInput(ChabautyError):
     from a dense winding in floating point)."""
 
 
+class NonFiniteInput(ChabautyError):
+    """A generator has a NaN or infinite entry."""
+
+
 class EnumerationBudgetExceeded(ChabautyError):
-    """A lattice enumeration would return more points than the cap allows."""
+    """A lattice search would hold more nodes than the cap allows."""
 
 
 class SingularMatrix(ChabautyError):

@@ -207,13 +207,14 @@ def discrete_covolume(group: ClosedSubgroup) -> float:
     return float(np.sqrt(max(np.linalg.det(g), 0.0)))
 
 
-def delta_type(group: ClosedSubgroup, delta: float,
-               tol: float = 1e-9) -> GroupType | None:
+def delta_type(group: ClosedSubgroup, delta: float, tol: float = 1e-9,
+               rank_tol: float = 1e-9) -> GroupType | None:
     """Type of the subgroup as seen at scale delta, or None when some
-    norm sits on a threshold (the subgroup is not decomposable there)."""
+    norm sits within ``tol`` of a threshold (the subgroup is not
+    decomposable there); the norms use ``rank_tol``."""
     if not 0 < delta < 1:
         raise ValueError("the scale must lie in (0, 1)")
-    vals = norms(group)
+    vals = norms(group, rank_tol)
     inv = 1.0 / delta
     for v in vals:
         if not math.isinf(v):

@@ -115,7 +115,7 @@ def linear_decomposition(group: ClosedSubgroup, delta: float,
     The spans are built from the vectors realizing the generation
     radii, which span the same flag as the full point sets without any
     medium-radius enumeration."""
-    dt = delta_type(group, delta)
+    dt = delta_type(group, delta, rank_tol=rank_tol)
     if dt is None:
         raise NotDecomposable(
             f"some norm sits on the scale threshold {delta} or {1 / delta}")
@@ -217,7 +217,7 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
         raise ValueError("the scale must lie in (0, 1)")
     p, q = _check_aligned(base, tol.rank_tol * 10)
     n = group.ambient_dim
-    dt = delta_type(group, delta)
+    dt = delta_type(group, delta, rank_tol=tol.rank_tol)
     if dt is None:
         raise NotInNeighborhood(f"not decomposable at scale {delta}")
     if dt != (p, q):

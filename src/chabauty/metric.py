@@ -31,7 +31,7 @@ from . import _lattice
 from .errors import (DimensionMismatch, EnumerationBudgetExceeded,
                      InvalidPair, Unstable)
 from .invariants import delta_type, norms
-from .subgroup import ClosedSubgroup, GroupType, make_subgroup
+from .subgroup import ClosedSubgroup, GroupType, _solver, make_subgroup
 
 
 def _default_radii():
@@ -71,15 +71,13 @@ DEFAULT_PARAMS = MetricParams()
 
 
 class _TargetProfile:
-    """Cached distance oracle for a fixed target subgroup."""
+    """Distance oracle for a fixed target subgroup; its solver is the
+    subgroup's cached one."""
 
     def __init__(self, group: ClosedSubgroup):
         self.cont = group.continuous_basis
         self.has_cont = self.cont.shape[0] > 0
-        if group.discrete_rank:
-            self.solver = _lattice.LatticeSolver(group.discrete_basis)
-        else:
-            self.solver = None
+        self.solver = _solver(group) if group.discrete_rank else None
         if group.rank == group.ambient_dim and self.solver is not None:
             self.covering = self.solver.covering_bound
         elif group.rank == group.ambient_dim:
@@ -97,18 +95,8 @@ class _TargetProfile:
         return d
 
 
-_profiles: "weakref.WeakKeyDictionary[ClosedSubgroup, _TargetProfile]" = \
-    weakref.WeakKeyDictionary()
 _cell_sups: "weakref.WeakKeyDictionary[ClosedSubgroup, dict]" = \
     weakref.WeakKeyDictionary()
-
-
-def _profile(group: ClosedSubgroup) -> _TargetProfile:
-    prof = _profiles.get(group)
-    if prof is None:
-        prof = _TargetProfile(group)
-        _profiles[group] = prof
-    return prof
 
 
 def _certified_sup(f_batch, int_basis, int_lips, int_bounds,
@@ -299,7 +287,7 @@ def _cell_sup_full(target: ClosedSubgroup, params: MetricParams,
         value, arg, certified = hit
         if certified or (stop_above is not None and value >= stop_above):
             return value, arg, certified
-    prof = _profile(target)
+    prof = _TargetProfile(target)
     if prof.solver is None:  # the full space
         return 0.0, np.zeros(target.ambient_dim), True
     basis = prof.solver.basis
@@ -451,7 +439,7 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
     ps, qs = src.group_type
     if ps == 0 and qs == 0:
         return 0.0
-    prof = _profile(dst)
+    prof = _TargetProfile(dst)
     if dst.rank == dst.ambient_dim and dst.discrete_rank == 0:
         return 0.0  # the target is the full space
     n = src.ambient_dim

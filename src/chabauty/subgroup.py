@@ -9,6 +9,7 @@ discrete part, rows as vectors.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from . import _lattice
 from .errors import (DimensionMismatch, EnumerationBudgetExceeded,
-                     InvalidType, NonClosedInput, SingularMatrix)
+                     InvalidType, NonClosedInput, NonFiniteInput,
+                     SingularMatrix)
 
 
 class GroupType(NamedTuple):
@@ -113,11 +115,14 @@ def make_subgroup(n: int, continuous_gens=None, discrete_gens=None,
     projected discrete generators must be independent over the reals,
     otherwise the generated group would wind densely in some direction
     (or carry an undetectable redundancy) and NonClosedInput is raised.
+    A NaN or infinite entry raises NonFiniteInput.
     """
     if n < 0:
         raise DimensionMismatch("ambient dimension must be nonnegative")
     cont = _as_rows(continuous_gens, n, "continuous generators")
     disc = _as_rows(discrete_gens, n, "discrete generators")
+    if not (np.isfinite(cont).all() and np.isfinite(disc).all()):
+        raise NonFiniteInput("generators must have finite entries")
     cbasis = _lattice.orthonormalize(cont, tol.rank_tol)
     if disc.shape[0]:
         proj = disc - (disc @ cbasis.T) @ cbasis
@@ -178,6 +183,21 @@ def points_in_ball_with_coefficients(group: ClosedSubgroup, radius: float,
     return _lattice.enumerate_ball(group.discrete_basis, radius, cap)
 
 
+_solvers: "weakref.WeakKeyDictionary[ClosedSubgroup, _lattice.LatticeSolver]" \
+    = weakref.WeakKeyDictionary()
+
+
+def _solver(group: ClosedSubgroup) -> _lattice.LatticeSolver:
+    """Closest-vector solver of the discrete part, built once per
+    subgroup object and kept for as long as the subgroup lives.
+    Concurrent first calls may each build one; they are equal."""
+    solver = _solvers.get(group)
+    if solver is None:
+        solver = _solvers[group] = _lattice.LatticeSolver(
+            group.discrete_basis)
+    return solver
+
+
 def nearest_point(group: ClosedSubgroup, x) -> np.ndarray:
     """The point of the subgroup closest to x (ties broken by the solver)."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -188,7 +208,7 @@ def nearest_point(group: ClosedSubgroup, x) -> np.ndarray:
     resid = x - along
     if group.discrete_rank == 0:
         return along
-    solver = _lattice.LatticeSolver(group.discrete_basis)
+    solver = _solver(group)
     _, coeffs = solver.closest(resid[None, :])
     return along + coeffs[0] @ solver.basis
 

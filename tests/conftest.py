@@ -24,6 +24,27 @@ def brute_points_in_ball(basis, radius):
     return pts[keep]
 
 
+def brute_closest(basis, targets):
+    """Independent closest-vector oracle: the distance from each target
+    to the lattice, by exhaustive search of an integer box.  With tau
+    the real coordinates of the target's projection t_s and d the
+    distance from t_s to the rounded point, the closest point v obeys
+    |v - t_s| <= d, so its coefficients lie within d / (smallest
+    singular value) of tau."""
+    basis = np.atleast_2d(np.asarray(basis, dtype=float))
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    smin = np.linalg.svd(basis, compute_uv=False)[-1]
+    out = []
+    for t in targets:
+        tau = np.linalg.lstsq(basis.T, t, rcond=None)[0]
+        k = np.linalg.norm((np.round(tau) - tau) @ basis) / smin + 1e-9
+        axes = [np.arange(np.ceil(x - k), np.floor(x + k) + 1) for x in tau]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        coeffs = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        out.append(np.linalg.norm(coeffs @ basis - t, axis=1).min())
+    return np.array(out)
+
+
 def brute_norms(group):
     """Oracle for the successive norms: full sorted enumeration up to
     one past the largest finite norm, rank via singular values of the

@@ -59,6 +59,15 @@ def test_reduce2_command(capsys):
     assert data["z"][1] == pytest.approx(math.sqrt(3) / 2)
 
 
+def test_non_finite_input_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"ambient_dim": 2, "continuous_basis": [], '
+                    '"discrete_basis": [[NaN, 0.0]]}')
+    code, out = invoke(["info", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "NonFiniteInput"
+
+
 def test_stab_batch_preserves_order(capsys):
     code, out = invoke(["stab", str(FIXTURES / "z3.json"),
                         str(FIXTURES / "hexagonal.json")], capsys)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import chabauty as ch
+from chabauty import invariants
 from chabauty.errors import (BasePointNotAligned, FlagsTooFar,
                              InconsistentData, InvalidPair, InvalidStratum,
                              NotDecomposable, NotInNeighborhood, OutOfRange)
@@ -142,6 +143,13 @@ def test_local_decomposition_base_point():
     assert loc.coarse_count == 0
     np.testing.assert_allclose(loc.medium_offset, np.zeros((1, 1)),
                                atol=1e-12)
+
+
+def test_local_decomposition_uses_one_rank_tolerance():
+    g = ch.make_subgroup(3, None, [(1, 0, 0), (0, 1, 0), (0.2, 0.3, 50.0)])
+    base = ch.standard_subgroup(3, 0, 2)
+    ch.local_decomposition(g, base, 0.1, ch.Tolerance(rank_tol=1e-7))
+    assert list(invariants._generation_memo[g]) == [(1e-07, 1000000)]
 
 
 def test_local_decomposition_coarse_offsets():

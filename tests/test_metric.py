@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chabauty as ch
-from chabauty import invariants, metric
+from chabauty import invariants, metric, subgroup
 from chabauty.errors import InvalidPair, Unstable
 
 from conftest import random_group
@@ -168,7 +168,7 @@ def test_params_validation():
 
 
 def test_caches_free_their_subgroups():
-    caches = (metric._profiles, metric._cell_sups, metric._enum_cache,
+    caches = (subgroup._solvers, metric._cell_sups, metric._enum_cache,
               invariants._generation_memo)
     gc.collect()
     before = [len(c) for c in caches]

@@ -1,11 +1,15 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import chabauty as ch
+from chabauty import _lattice
 from chabauty.errors import (DimensionMismatch, EnumerationBudgetExceeded,
-                             InvalidType, NonClosedInput, SingularMatrix)
+                             InvalidType, NonClosedInput, NonFiniteInput,
+                             SingularMatrix)
 
 from conftest import brute_points_in_ball, random_group, random_type
 
@@ -33,6 +37,14 @@ def test_make_subgroup_rejects_dense_winding():
 def test_make_subgroup_rejects_wrong_length():
     with pytest.raises(DimensionMismatch):
         ch.make_subgroup(3, None, [(1.0, 0.0)])
+
+
+@pytest.mark.parametrize("cont, disc", [(None, [(math.nan, 0.0)]),
+                                        (None, [(math.inf, 0.0)]),
+                                        ([(math.nan, 1.0)], None)])
+def test_make_subgroup_rejects_non_finite(cont, disc):
+    with pytest.raises(NonFiniteInput):
+        ch.make_subgroup(2, cont, disc)
 
 
 def test_make_subgroup_drops_absorbed_generators():
@@ -74,10 +86,13 @@ def test_points_in_ball_examples():
 
 
 def test_points_in_ball_matches_brute_oracle(rng):
-    for _ in range(25):
-        n = int(rng.integers(1, 4))
+    skewed = ch.make_subgroup(3, None, [(1, 0, 0), (0, 1, 0), (0.2, 0.3, 50)])
+    cases = [(skewed, 3.0), (skewed, 50.5)]
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
         g = random_group(rng, n, (0, int(rng.integers(1, n + 1))))
-        radius = float(rng.uniform(0.5, 4.0))
+        cases.append((g, float(rng.uniform(0.5, 4.0 if n <= 3 else 2.5))))
+    for g, radius in cases:
         mine = ch.points_in_ball(g, radius)
         brute = brute_points_in_ball(g.discrete_basis, radius)
         a = sorted(map(tuple, np.round(mine, 8)))
@@ -89,6 +104,46 @@ def test_points_in_ball_budget():
     g = ch.make_subgroup(2, None, [(0.01, 0.0), (0.0, 0.01)])
     with pytest.raises(EnumerationBudgetExceeded):
         ch.points_in_ball(g, 50.0, cap=1000)
+
+
+def test_nearest_point_builds_one_solver(monkeypatch):
+    builds = []
+    real = _lattice.LatticeSolver
+
+    def counting(basis):
+        builds.append(basis)
+        return real(basis)
+
+    monkeypatch.setattr(_lattice, "LatticeSolver", counting)
+    g = ch.make_subgroup(2, None, [(1.0, 0.0), (0.3, 1.1)])
+    for x in [(0.2, 0.1), (3.3, -1.2), (0.5, 0.5)]:
+        ch.nearest_point(g, x)
+        ch.distance_to_subgroup(x, g)
+    assert len(builds) == 1
+
+
+def test_shared_solver_under_threads():
+    g = ch.make_subgroup(2, None, [(1.0, 0.0), (0.3, 1.1)])
+    points = np.random.default_rng(3).uniform(-3, 3, size=(40, 2))
+    expected = [ch.distance_to_subgroup(x, ch.make_subgroup(
+        2, None, g.discrete_basis)) for x in points]
+    results = []
+
+    def work():
+        results.append([ch.distance_to_subgroup(x, g) for x in points])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert results == [expected] * 8
 
 
 def test_distance_examples():
