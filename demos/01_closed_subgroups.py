@@ -15,12 +15,12 @@ import chabauty as ch
 s2 = 1 / math.sqrt(2)
 g = ch.make_subgroup(2, continuous_gens=[(s2, s2)],
                      discrete_gens=[(1.0, 0.0)])
-print("type:", tuple(ch.type_of(g)), "rank:", ch.rank(g))
+print("type:", tuple(ch.type_of(g)), "rank:", g.rank)
 print("continuous part:\n", g.continuous_basis)
 print("reduced discrete part:\n", g.discrete_basis)
 
 # the canonical decomposition is stored, not recomputed
-subspace, lattice = ch.canonical_decomposition(g)
+subspace, lattice = g.continuous_basis, g.discrete_basis
 print("decomposition pieces:", subspace.shape, lattice.shape)
 
 # exact lattice enumeration inside a ball

@@ -11,10 +11,9 @@ from .errors import (BasePointNotAligned, ChabautyError, DimensionMismatch,
                      OutOfRange, SingularBasePoint, SingularMatrix,
                      Unstable, WrongAmbientDim)
 from .subgroup import (ClosedSubgroup, GroupType, RandomSubgroupParams,
-                       Tolerance, apply_linear, canonical_decomposition,
-                       distance_to_subgroup, make_subgroup, nearest_point,
-                       points_in_ball, random_subgroup, rank, scale,
-                       standard_subgroup, type_of)
+                       Tolerance, apply_linear, distance_to_subgroup,
+                       make_subgroup, nearest_point, points_in_ball,
+                       random_subgroup, scale, standard_subgroup, type_of)
 from .invariants import (INDETERMINATE, covolume, delta_type,
                          discrete_covolume, norms, systole)
 from .duality import dual
@@ -22,7 +21,7 @@ from .metric import (LimitReport, MetricParams, chabauty_distance,
                      classify_limit, degeneration_family, hausdorff_gap,
                      neighborhood_test, subgroups_equal)
 from .local import (LinearDecomposition, LocalDecomposition, Membership,
-                    StrataPoset, Trivialisation, bundle_projection,
+                    Trivialisation, all_types, bundle_projection,
                     cone_map, fiber_dimension, flag_gap, hasse_diagram,
                     in_scale_neighborhood, linear_decomposition,
                     local_decomposition, on_link, reconstruct,

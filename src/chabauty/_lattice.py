@@ -5,6 +5,12 @@ Bases are stored as row vectors.  All reductions act by integer row
 operations only, so the generated lattice is preserved exactly up to
 floating point error in the vector entries themselves.
 
+One LLL loop, ``_lll``, reduces independent bases (``lll_reduce``) and,
+run on generators augmented by their integer coefficients, dependent
+generators (``basis_from_generators``), whose integer relations come out
+as rows of the reduced coefficients.  It has no iteration guard: a
+numeric failure raises EnumerationBudgetExceeded with its numbers.
+
 Ball enumeration and closest-vector queries share one lattice-point
 search, ``_fincke_pohst`` (Fincke & Pohst, Math. Comp. 1985), run
 breadth-first so that numpy treats every node of a level at once.  Its
@@ -17,6 +23,9 @@ import numpy as np
 from .errors import EnumerationBudgetExceeded
 
 _EPS = 1e-12
+_DELTA = 0.75
+_EXACT = 2.0 ** 52
+_NOISE = 64 * np.finfo(float).eps  # coefficient weight per generator norm
 
 
 def orthonormalize(rows, tol: float = 1e-9) -> np.ndarray:
@@ -70,48 +79,78 @@ def _gso(basis: np.ndarray):
     """Gram-Schmidt orthogonalization (not normalized): returns (bstar, mu)."""
     k, n = basis.shape
     bstar = np.zeros((k, n))
+    bsq = np.zeros(k)
     mu = np.zeros((k, k))
     for i in range(k):
-        v = basis[i].copy()
-        for j in range(i):
-            denom = bstar[j] @ bstar[j]
-            mu[i, j] = (basis[i] @ bstar[j]) / denom if denom > 0 else 0.0
-            v -= mu[i, j] * bstar[j]
-        bstar[i] = v
+        _gso_row(basis, bstar, bsq, mu, i)
     return bstar, mu
 
 
-def lll_reduce(basis, delta: float = 0.75) -> np.ndarray:
+def _gso_row(basis, bstar, bsq, mu, i):
+    """Fill row i of ``bstar``, ``bsq`` (squared norms of ``bstar``) and
+    ``mu`` from rows 0..i-1 of ``bstar`` and ``bsq``."""
+    v = basis[i].copy()
+    for j in range(i):
+        denom = bsq[j]
+        c = (basis[i] @ bstar[j]) / denom if denom > 0 else 0.0
+        mu[i, j] = c
+        v -= c * bstar[j]
+    bstar[i] = v
+    bsq[i] = v @ v
+
+
+def _lll(rows, dim: int) -> np.ndarray:
+    """LLL reduction of independent rows, measured by their first ``dim``
+    columns; the columns past ``dim`` ride along and hold integers.  Row
+    i's Gram-Schmidt data are recomputed whenever rows 0..i change, as
+    the loop reads no row past i.  Raises EnumerationBudgetExceeded when
+    a multiplier or a carried integer reaches 2^52."""
+    b = np.array(rows, dtype=float)
+    k = b.shape[0]
+    if k <= 1:
+        return b
+    v = b[:, :dim]
+    carried = b[:, dim:]
+    bstar = np.zeros(v.shape)
+    bsq = np.zeros(k)
+    mu = np.zeros((k, k))
+    i = 0
+    while i < k:
+        _gso_row(v, bstar, bsq, mu, i)
+        for j in range(i - 1, -1, -1):
+            m = mu[i, j].round()
+            if m != 0:
+                b[i] -= m * b[j]
+                top = abs(m)
+                if carried.size:
+                    top = max(top, np.abs(carried[i]).max())
+                if not top < _EXACT:
+                    raise EnumerationBudgetExceeded(
+                        f"size reduction meets the integer {top:.6g}; "
+                        "floats hold integers exactly below 2^52")
+                _gso_row(v, bstar, bsq, mu, i)
+        lhs = bsq[i]
+        rhs = (_DELTA - mu[i, i - 1] ** 2) * bsq[i - 1] - _EPS * (1.0 + lhs)
+        if i == 0 or lhs >= rhs:
+            i += 1
+        elif lhs < rhs:
+            b[[i - 1, i]] = b[[i, i - 1]]
+            _gso_row(v, bstar, bsq, mu, i - 1)
+            i = max(i - 1, 1)
+        else:
+            raise EnumerationBudgetExceeded(
+                f"the Lovasz test compares {lhs:.6g} with {rhs:.6g}: the "
+                "rows are not finite")
+    return b
+
+
+def lll_reduce(basis) -> np.ndarray:
     """Lenstra-Lenstra-Lovasz reduction of an independent row basis.
 
     Only integer row operations are applied; the lattice is unchanged.
     """
-    b = np.array(basis, dtype=float)
-    k = b.shape[0]
-    if k <= 1:
-        return b
-    bstar, mu = _gso(b)
-    i = 1
-    guard = 0
-    max_iter = 1000 * k * k + 1000
-    while i < k:
-        guard += 1
-        if guard > max_iter:  # float stagnation safety
-            break
-        for j in range(i - 1, -1, -1):
-            m = np.round(mu[i, j])
-            if m != 0:
-                b[i] -= m * b[j]
-                bstar, mu = _gso(b)
-        lhs = bstar[i] @ bstar[i]
-        rhs = (delta - mu[i, i - 1] ** 2) * (bstar[i - 1] @ bstar[i - 1])
-        if lhs >= rhs - _EPS * (1.0 + lhs):
-            i += 1
-        else:
-            b[[i - 1, i]] = b[[i, i - 1]]
-            bstar, mu = _gso(b)
-            i = max(i - 1, 1)
-    return b
+    b = np.asarray(basis, dtype=float)
+    return _lll(b, b.shape[-1])
 
 
 def canonical_rows(basis, tol: float = 1e-9) -> np.ndarray:
@@ -144,86 +183,65 @@ def reduce_basis(basis, tol: float = 1e-9) -> np.ndarray:
 def basis_from_generators(gens, zero_tol: float):
     """Basis of the lattice generated by possibly dependent real vectors.
 
-    Returns ``(basis, coeffs, relations)`` where ``basis = coeffs @ gens``
-    with integer ``coeffs`` and every row of ``relations`` is an integer
-    combination of the generators that vanishes within ``zero_tol``.
-    Integer row operations only, so the generated group is preserved.
+    Returns ``(basis, coeffs, relations)``: ``basis = coeffs @ gens`` is
+    LLL-reduced, the rows of ``relations`` are integer combinations of
+    the generators within ``zero_tol`` of zero, and ``[coeffs;
+    relations]`` is unimodular.  The generators g_i become the
+    independent rows (g_i / w, e_i), on which the LLL loop keeps vectors
+    and coefficients short together (Havas, Majewski and Matthews,
+    Experiment. Math. 7, 1998); w is a power of two at most ``zero_tol``
+    and 64 times the rounding error of a sum of the generators.  The
+    relations found are reduced among themselves, the other rows against
+    them, and a second pass reduces the lattice vectors.  Raises
+    ValueError unless ``zero_tol`` is positive, and
+    EnumerationBudgetExceeded when the basis rows left are numerically
+    dependent (a dense subgroup), when a row misses its combination or
+    zero by more than ``zero_tol``, or when a pass fails numerically.
     """
+    if not zero_tol > 0:
+        raise ValueError("zero_tol must be positive")
     g = np.atleast_2d(np.asarray(gens, dtype=float))
-    m = g.shape[0]
-    if m == 0 or g.size == 0:
-        return (np.zeros((0, g.shape[1] if g.ndim == 2 else 0)),
-                np.zeros((0, m), dtype=np.int64),
-                np.zeros((0, m), dtype=np.int64))
-    order = np.argsort(np.linalg.norm(g, axis=1))
-    basis: list[np.ndarray] = []
-    coeffs: list[np.ndarray] = []
-    relations: list[np.ndarray] = []
-    for idx in order:
-        v = g[idx].copy()
-        c = np.zeros(m, dtype=np.int64)
-        c[idx] = 1
-        changed = True
-        rounds = 0
-        while changed and rounds < 200:
-            changed = False
-            rounds += 1
-            for b, cb in zip(basis, coeffs):
-                denom = b @ b
-                if denom <= zero_tol ** 2:
-                    continue
-                mval = np.round((v @ b) / denom)
-                if mval != 0:
-                    v -= mval * b
-                    c -= np.int64(mval) * cb
-                    changed = True
-        if np.linalg.norm(v) <= zero_tol:
-            relations.append(c)
-            continue
-        basis.append(v)
-        coeffs.append(c)
-        # settle: newly inserted short vector may reduce earlier rows
-        settled = False
-        passes = 0
-        while not settled and passes < 50:
-            settled = True
-            passes += 1
-            basis_order = np.argsort([b @ b for b in basis])
-            basis = [basis[i] for i in basis_order]
-            coeffs = [coeffs[i] for i in basis_order]
-            for i in range(len(basis)):
-                for j in range(len(basis)):
-                    if i == j:
-                        continue
-                    denom = basis[j] @ basis[j]
-                    if denom <= zero_tol ** 2:
-                        continue
-                    mval = np.round((basis[i] @ basis[j]) / denom)
-                    if mval != 0:
-                        basis[i] = basis[i] - mval * basis[j]
-                        coeffs[i] = coeffs[i] - np.int64(mval) * coeffs[j]
-                        settled = False
-            keep_b, keep_c = [], []
-            for b, cb in zip(basis, coeffs):
-                if np.linalg.norm(b) <= zero_tol:
-                    relations.append(cb)
-                    settled = False
-                else:
-                    keep_b.append(b)
-                    keep_c.append(cb)
-            basis, coeffs = keep_b, keep_c
-    if basis:
-        stack = np.array(basis)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        if sv[-1] <= zero_tol * max(1.0, sv[0]):
+    m, n = g.shape
+    sq = np.einsum("ij,ij->i", g, g)
+    w = min(zero_tol, _NOISE * float(np.sqrt(sq.sum()))) or zero_tol
+    w = 2.0 ** np.floor(np.log2(w))
+    # a generator within zero_tol of zero is a relation on its own
+    zero = sq <= zero_tol * zero_tol
+    eye = np.eye(m)
+    # the identity block is measured, so a carried copy keeps the
+    # coefficients apart from it
+    coef = _lll(np.hstack([g[~zero] / w, eye[~zero], eye[~zero]]),
+                n + m)[:, n + m:]
+    part = coef @ g
+    rel = np.einsum("ij,ij->i", part, part) <= zero_tol * zero_tol
+    relations = _lll(coef[rel], m)
+    lifts = coef[~rel]
+    # the relations' rounding error, times the long vector parts, skews
+    # the first pass's multipliers: reduce the other coefficient rows
+    # against the relations alone, by nearest plane
+    rstar, _ = _gso(relations)
+    for j in range(relations.shape[0] - 1, -1, -1):
+        c = np.round(lifts @ rstar[j] / (rstar[j] @ rstar[j]))
+        lifts -= c[:, None] * relations[j]
+    second = _lll(np.hstack([lifts @ g / w, lifts]), n)
+    basis = second[:, :n] * w
+    coeffs = second[:, n:].astype(np.int64)
+    relations = np.vstack([eye[zero], relations]).astype(np.int64)
+    if basis.shape[0]:
+        sv = np.linalg.svd(basis, compute_uv=False)
+        if sv.size < basis.shape[0] or sv[-1] <= zero_tol * max(1.0, sv[0]):
             raise EnumerationBudgetExceeded(
-                "could not separate dependent generators numerically")
-    bmat = np.array(basis) if basis else np.zeros((0, g.shape[1]))
-    cmat = (np.array(coeffs, dtype=np.int64) if coeffs
-            else np.zeros((0, m), dtype=np.int64))
-    rmat = (np.array(relations, dtype=np.int64) if relations
-            else np.zeros((0, m), dtype=np.int64))
-    return bmat, cmat, rmat
+                "could not separate dependent generators numerically: "
+                f"{basis.shape[0]} basis rows in R^{basis.shape[1]} with "
+                f"singular values {sv[0]:.3g} to {sv[-1]:.3g}, zero_tol "
+                f"{zero_tol:.3g}")
+    res = np.vstack([coeffs @ g - basis, relations @ g])
+    miss = np.sqrt(np.einsum("ij,ij->i", res, res).max(initial=0.0))
+    if miss > zero_tol:
+        raise EnumerationBudgetExceeded(
+            "integer combinations of the generators miss their rows by "
+            f"{miss:.3g}, above zero_tol {zero_tol:.3g}")
+    return basis, coeffs, relations
 
 
 def _fincke_pohst(mu, bstar_sq, centres, bound2, cap=1_000_000):

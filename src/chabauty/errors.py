@@ -16,7 +16,8 @@ class NonClosedInput(ChabautyError):
 
 
 class NonFiniteInput(ChabautyError):
-    """A generator has a NaN or infinite entry."""
+    """A generator has a NaN or infinite entry, or its squared norm
+    overflows."""
 
 
 class EnumerationBudgetExceeded(ChabautyError):

@@ -304,9 +304,7 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
                 "distinguished vectors do not generate the medium lattice")
         medium_basis = v_rows
         raw_off = gamma_med[:, :p]
-        medium_offset = np.array([
-            w - nearest_point(fine_part, w) for w in raw_off
-        ]).reshape(q, p)
+        medium_offset = raw_off - nearest_point(fine_part, raw_off)
     else:
         medium_basis = np.zeros((0, 0))
         gamma_med = np.zeros((0, n))
@@ -324,9 +322,7 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
                                         med_rows) @ gamma_med
             pre = pre - reduction
         off_med = pre[:, p:p + q]
-        off_fine = np.array([
-            w - nearest_point(fine_part, w) for w in pre[:, :p]
-        ]).reshape(m, p)
+        off_fine = pre[:, :p] - nearest_point(fine_part, pre[:, :p])
     else:
         off_med = np.zeros((0, q))
         off_fine = np.zeros((0, p))
@@ -527,21 +523,3 @@ def hasse_diagram(n: int):
     edges.sort()
     return edges
 
-
-class StrataPoset:
-    """The incidence order on all types that fit in dimension n."""
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("dimension must be nonnegative")
-        self.n = n
-        self.elements = all_types(n)
-
-    def leq(self, lower, upper) -> bool:
-        return type_leq(lower, upper)
-
-    def covers(self):
-        return hasse_diagram(self.n)
-
-    def dimension(self, group_type) -> int:
-        return stratum_dimension(self.n, group_type)

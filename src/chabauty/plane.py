@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (NotInC1, NotLattice, NotUnitSystole, SingularBasePoint,
                      WrongAmbientDim)
 from .invariants import covolume, norms, systole
-from .subgroup import (ClosedSubgroup, distance_to_subgroup, make_subgroup,
+from .subgroup import (ClosedSubgroup, make_subgroup, nearest_point,
                        points_in_ball, scale)
 
 INFINITY_POINT = complex(math.inf, 0.0)
@@ -193,15 +193,16 @@ def stabilizer_order(group: ClosedSubgroup, tol: float = 1e-6) -> int:
     if group.group_type != (0, 2):
         raise NotUnitSystole("unit-systole subgroups are lattices or rank one")
 
-    def invariant(angle: float) -> bool:
+    rotated = []
+    for angle in (math.pi / 3, math.pi / 2):
         c, s = math.cos(angle), math.sin(angle)
         rot = np.array([[c, -s], [s, c]])
-        rotated = group.discrete_basis @ rot.T
-        return all(distance_to_subgroup(v, group) < tol for v in rotated)
-
-    if invariant(math.pi / 3):
+        rotated.append(group.discrete_basis @ rot.T)
+    rotated = np.vstack(rotated)
+    gaps = np.linalg.norm(rotated - nearest_point(group, rotated), axis=1)
+    if np.all(gaps[:2] < tol):
         return 3
-    if invariant(math.pi / 2):
+    if np.all(gaps[2:] < tol):
         return 2
     return 1
 

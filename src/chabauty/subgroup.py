@@ -115,14 +115,17 @@ def make_subgroup(n: int, continuous_gens=None, discrete_gens=None,
     projected discrete generators must be independent over the reals,
     otherwise the generated group would wind densely in some direction
     (or carry an undetectable redundancy) and NonClosedInput is raised.
-    A NaN or infinite entry raises NonFiniteInput.
+    A NaN or infinite entry, or a generator whose squared norm
+    overflows, raises NonFiniteInput.
     """
     if n < 0:
         raise DimensionMismatch("ambient dimension must be nonnegative")
     cont = _as_rows(continuous_gens, n, "continuous generators")
     disc = _as_rows(discrete_gens, n, "discrete generators")
-    if not (np.isfinite(cont).all() and np.isfinite(disc).all()):
-        raise NonFiniteInput("generators must have finite entries")
+    if not all(np.isfinite(np.einsum("ij,ij->i", a, a)).all()
+               for a in (cont, disc)):
+        raise NonFiniteInput(
+            "generators must have finite entries and squared norms")
     cbasis = _lattice.orthonormalize(cont, tol.rank_tol)
     if disc.shape[0]:
         proj = disc - (disc @ cbasis.T) @ cbasis
@@ -155,15 +158,6 @@ def standard_subgroup(n: int, p: int, q: int) -> ClosedSubgroup:
 
 def type_of(group: ClosedSubgroup) -> GroupType:
     return group.group_type
-
-
-def rank(group: ClosedSubgroup) -> int:
-    return group.rank
-
-
-def canonical_decomposition(group: ClosedSubgroup):
-    """The (subspace basis, lattice basis) pair of the canonical form."""
-    return group.continuous_basis, group.discrete_basis
 
 
 def points_in_ball(group: ClosedSubgroup, radius: float,
@@ -199,18 +193,22 @@ def _solver(group: ClosedSubgroup) -> _lattice.LatticeSolver:
 
 
 def nearest_point(group: ClosedSubgroup, x) -> np.ndarray:
-    """The point of the subgroup closest to x (ties broken by the solver)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != group.ambient_dim:
+    """The point of the subgroup closest to x (ties broken by the solver).
+
+    ``x`` is one point or an (m, n) array of points, one per row; the
+    result has the shape of ``x``, and all rows share one solver call.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(x)
+    if x.ndim > 2 or rows.shape[1] != group.ambient_dim:
         raise DimensionMismatch("point has wrong length")
     cb = group.continuous_basis
-    along = (x @ cb.T) @ cb if cb.shape[0] else np.zeros_like(x)
-    resid = x - along
-    if group.discrete_rank == 0:
-        return along
-    solver = _solver(group)
-    _, coeffs = solver.closest(resid[None, :])
-    return along + coeffs[0] @ solver.basis
+    near = (rows @ cb.T) @ cb
+    if group.discrete_rank:
+        solver = _solver(group)
+        _, coeffs = solver.closest(rows - near)
+        near = near + coeffs @ solver.basis
+    return near.reshape(x.shape)
 
 
 def distance_to_subgroup(x, group: ClosedSubgroup) -> float:

@@ -271,3 +271,16 @@ def test_atlas_rows():
     orders = {r[2] for r in rows}
     assert orders <= {1, 2, 3}
     assert any(r[2] == 2 for r in rows)  # the square lattice sits at (0, 1)
+
+
+def test_atlas_orders_match_row_by_row_invariance():
+    def invariant(group, angle):
+        rot = rotation2(angle)
+        return all(ch.distance_to_subgroup(v, group) < 1e-6
+                   for v in group.discrete_basis @ rot.T)
+
+    for x, y, order in ch.atlas_rows(n_re=9, n_im=7, im_max=2.0):
+        g = lattice(1.0, complex(x, y))
+        expected = (3 if invariant(g, math.pi / 3)
+                    else 2 if invariant(g, math.pi / 2) else 1)
+        assert order == expected

@@ -41,7 +41,9 @@ def test_make_subgroup_rejects_wrong_length():
 
 @pytest.mark.parametrize("cont, disc", [(None, [(math.nan, 0.0)]),
                                         (None, [(math.inf, 0.0)]),
-                                        ([(math.nan, 1.0)], None)])
+                                        ([(math.nan, 1.0)], None),
+                                        (None, [(1e300, 0.0), (0.0, 1.0)]),
+                                        ([(1e300, 0.0)], [(0.0, 1.0)])])
 def test_make_subgroup_rejects_non_finite(cont, disc):
     with pytest.raises(NonFiniteInput):
         ch.make_subgroup(2, cont, disc)
@@ -57,16 +59,16 @@ def test_type_and_rank():
     assert ch.type_of(ch.standard_subgroup(3, 0, 3)) == (0, 3)
     g = ch.make_subgroup(2, [(S2, S2)], [(1.0, 0.0)])
     assert ch.type_of(g) == (1, 1)
-    assert ch.rank(g) == 2
+    assert g.rank == 2
 
 
 def test_canonical_decomposition_components():
     g = ch.standard_subgroup(2, 1, 1)
-    cont, disc = ch.canonical_decomposition(g)
+    cont, disc = g.continuous_basis, g.discrete_basis
     np.testing.assert_allclose(cont, [[1.0, 0.0]])
     np.testing.assert_allclose(disc, [[0.0, 1.0]])
     z = ch.standard_subgroup(3, 0, 3)
-    cont, disc = ch.canonical_decomposition(z)
+    cont, disc = z.continuous_basis, z.discrete_basis
     assert cont.shape == (0, 3)
     np.testing.assert_allclose(disc, np.eye(3))
 
@@ -144,6 +146,21 @@ def test_shared_solver_under_threads():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert results == [expected] * 8
+
+
+def test_nearest_point_batches_rows(rng):
+    for n in range(1, 5):
+        for _ in range(6):
+            g = random_group(rng, n)
+            points = rng.normal(scale=2.0, size=(7, n))
+            batched = ch.nearest_point(g, points)
+            one_by_one = np.array([ch.nearest_point(g, x) for x in points])
+            assert batched.shape == points.shape
+            np.testing.assert_allclose(batched, one_by_one, rtol=0,
+                                       atol=1e-12)
+            assert ch.nearest_point(g, points[0]).shape == (n,)
+    with pytest.raises(DimensionMismatch):
+        ch.nearest_point(ch.standard_subgroup(2, 0, 2), np.zeros((3, 3)))
 
 
 def test_distance_examples():
