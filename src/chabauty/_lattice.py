@@ -15,6 +15,10 @@ Ball enumeration and closest-vector queries share one lattice-point
 search, ``_fincke_pohst`` (Fincke & Pohst, Math. Comp. 1985), run
 breadth-first so that numpy treats every node of a level at once.  Its
 one budget is the number of nodes a level may hold for one target.
+``search_ball`` returns the points of a ball in search order with their
+squared norms, for callers that take a maximum or a minimum over them;
+``enumerate_ball`` sorts the same points by (norm, lexicographic), the
+order the public ``points_in_ball`` functions promise.
 """
 from __future__ import annotations
 
@@ -286,13 +290,14 @@ def _fincke_pohst(mu, bstar_sq, centres, bound2, cap=1_000_000):
     return owner, coeffs
 
 
-def enumerate_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
-    """All lattice points of squared norm <= radius^2 (tiny slack included).
+def search_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
+    """All lattice points of squared norm <= radius^2 (tiny slack
+    included), in the order the Fincke-Pohst search finds them.
 
-    Returns ``(points, coeffs)`` sorted by (norm, lexicographic); the
-    origin is always included.  The points come from the Fincke-Pohst
-    search centred at the origin, which raises EnumerationBudgetExceeded
-    when one of its levels would hold more than ``cap`` nodes.
+    Returns ``(points, coeffs, sq_norms)``; the origin is always
+    included.  For callers that need no order, such as a maximum or a
+    minimum over the ball.  Raises EnumerationBudgetExceeded when one
+    level of the search would hold more than ``cap`` nodes.
     """
     basis = np.asarray(basis, dtype=float)
     q = basis.shape[0]
@@ -300,15 +305,24 @@ def enumerate_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if q == 0:
-        return np.zeros((1, n)), np.zeros((1, 0), dtype=np.int64)
+        return (np.zeros((1, n)), np.zeros((1, 0), dtype=np.int64),
+                np.zeros(1))
     rcut = radius * (1.0 + 1e-12) + 1e-12
     rcut2 = rcut * rcut
     bstar, mu = _gso(basis)
     _, cs = _fincke_pohst(mu, np.einsum("ij,ij->i", bstar, bstar),
                           np.zeros((1, q)), np.array([rcut2]), cap)
     pts = cs @ basis
-    keep = np.einsum("ij,ij->i", pts, pts) <= rcut2
-    pts, cs = pts[keep], cs[keep]
+    sq = np.einsum("ij,ij->i", pts, pts)
+    keep = sq <= rcut2
+    return pts[keep], cs[keep], sq[keep]
+
+
+def enumerate_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
+    """The points of ``search_ball`` with their coefficients, sorted by
+    (norm, lexicographic) with keys rounded to 9 digits."""
+    pts, cs = search_ball(basis, radius, cap)[:2]
+    n = pts.shape[1]
     norms = np.linalg.norm(pts, axis=1)
     keys = [np.round(pts[:, j], 9) for j in range(n - 1, -1, -1)]
     keys.append(np.round(norms, 9))

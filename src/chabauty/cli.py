@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import local, metric, plane
 from .duality import dual
-from .errors import ChabautyError
+from .errors import ChabautyError, OutOfRange
 from .invariants import covolume, discrete_covolume, norms, systole
 from .metric import MetricParams, chabauty_distance, classify_limit, \
     degeneration_family
@@ -102,19 +102,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_params(path) -> MetricParams:
+    """Metric parameters from a JSON object with some of the keys
+    radii, weights, grid and cap; raises OutOfRange on any other key or
+    an invalid value."""
     if not path:
         return MetricParams()
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
-    kwargs = {}
-    for key in ("radii", "weights"):
-        if key in raw:
-            kwargs[key] = tuple(float(x) for x in raw[key])
-    if "grid" in raw:
-        kwargs["grid"] = float(raw["grid"])
-    if "cap" in raw:
-        kwargs["cap"] = int(raw["cap"])
-    return MetricParams(**kwargs)
+    if not isinstance(raw, dict):
+        raise OutOfRange("metric parameters must be a JSON object")
+    unknown = sorted(set(raw) - {"radii", "weights", "grid", "cap"})
+    if unknown:
+        raise OutOfRange(f"unknown metric parameters {unknown}; the keys "
+                         "are radii, weights, grid and cap")
+    try:
+        kwargs = {key: tuple(float(x) for x in raw[key])
+                  for key in ("radii", "weights") if key in raw}
+        if "grid" in raw:
+            kwargs["grid"] = float(raw["grid"])
+        if "cap" in raw:
+            kwargs["cap"] = int(raw["cap"])
+        return MetricParams(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise OutOfRange(f"invalid metric parameters: {exc}") from exc
 
 
 def _map_inputs(fn, paths):

@@ -173,7 +173,7 @@ def _shortest_vector(basis: np.ndarray) -> float:
     if basis.shape[0] == 0:
         return np.inf
     rad = float(np.linalg.norm(basis, axis=1).min()) * (1 + 1e-12)
-    pts, _ = _lattice.enumerate_ball(basis, rad)
+    pts = _lattice.search_ball(basis, rad)[0]
     sizes = np.linalg.norm(pts, axis=1)
     sizes = sizes[sizes > 1e-12]
     return float(sizes.min()) if sizes.size else np.inf

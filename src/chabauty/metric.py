@@ -61,10 +61,12 @@ class MetricParams:
             raise ValueError("radii and weights must have equal length")
         if any(b <= a for a, b in zip(r, r[1:])):
             raise ValueError("radii must be strictly increasing")
-        if any(x <= 0 for x in w) or any(x <= 0 for x in r):
-            raise ValueError("radii and weights must be positive")
-        if self.grid <= 0:
-            raise ValueError("grid must be positive")
+        if not all(0 < x < math.inf for x in r + w):
+            raise ValueError("radii and weights must be positive and finite")
+        if not 0 < self.grid < math.inf:
+            raise ValueError("grid must be positive and finite")
+        if not self.cap >= 1:
+            raise ValueError("cap must be positive")
 
 
 DEFAULT_PARAMS = MetricParams()
@@ -188,7 +190,10 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds,
         evals += len(batch)
         if evals > budget:
             raise EnumerationBudgetExceeded(
-                "distance evaluation budget exhausted")
+                f"distance evaluation budget exhausted: {evals} evaluations "
+                f"over the cap of {budget} (MetricParams.cap), "
+                f"{len(heap) + len(batch)} open cells left, incumbent "
+                f"{lo:.6g}, best open bound {top_ub:.6g}")
         sizes = np.linalg.norm(xs, axis=1)
         for i, cell in enumerate(batch):
             if sizes[i] <= fuzz and float(vals[i]) > lo:
@@ -310,41 +315,40 @@ _enum_cache: "weakref.WeakKeyDictionary[ClosedSubgroup, tuple]" = \
 
 
 def _cached_lattice_points(src: ClosedSubgroup, radius: float, cap: int):
-    """Lattice points of the source inside the radius ball, reusing the
-    largest enumeration seen so far for this subgroup."""
+    """Lattice points of the source inside the radius ball, in search
+    order, reusing the largest search seen so far for this subgroup."""
     entry = _enum_cache.get(src)
-    if entry is not None and entry[0] >= radius:
-        pts, sizes = entry[1], entry[2]
-        return pts[sizes <= radius * (1 + 1e-12)]
-    pts, _ = _lattice.enumerate_ball(src.discrete_basis, radius, cap=cap)
-    sizes = np.linalg.norm(pts, axis=1)
-    _enum_cache[src] = (radius, pts, sizes)
-    return pts
+    if entry is None or entry[0] < radius:
+        pts, _, sq = _lattice.search_ball(src.discrete_basis, radius, cap=cap)
+        entry = (radius, pts, np.sqrt(sq))
+        _enum_cache[src] = entry
+    _, pts, sizes = entry
+    return pts[sizes <= radius * (1 + 1e-12)]
 
 
 def _dense_gap(src: ClosedSubgroup, dst: ClosedSubgroup,
-               prof: _TargetProfile, radius: float, params: MetricParams,
-               stop_above):
+               prof: _TargetProfile, radius: float, nu: np.ndarray,
+               params: MetricParams, stop_above):
     """Directed gap against a full-rank target via dense sampling.
 
     The sup of dist(., dst) over the whole space equals the certified
     cell supremum.  The source trace usually samples the target's
     fundamental cell finely enough that some source point gets within
     the grid resolution of that supremum, which certifies the answer
-    without any search.  Returns None when the certificate fails.
+    without any search.  ``nu`` holds the dual-basis norms of the
+    source lattice.  Returns None when the certificate fails.
     """
     qs, ps = src.discrete_rank, src.continuous_dim
     if qs == 0 or prof.solver is None:
         return None
-    nu = _lattice.dual_coefficient_norms(src.discrete_basis)
     box = float(np.prod(2 * np.floor(radius * nu + 1e-9) + 1))
     budget = 2 * params.cap if ps == 0 else params.cap // 10
     r_eff = radius
     if box > budget:
         r_eff = radius * (budget / box) ** (1.0 / qs)
     try:
-        pts = _cached_lattice_points(src, min(radius, max(r_eff, 1.0)),
-                                     cap=8 * params.cap)
+        pts = _cached_lattice_points(
+            src, min(radius, max(r_eff, 1.0)), cap=8 * params.cap)
     except EnumerationBudgetExceeded:
         return None
     exact = ps == 0 and r_eff >= radius and pts.shape[0] <= 65_536
@@ -361,10 +365,10 @@ def _dense_gap(src: ClosedSubgroup, dst: ClosedSubgroup,
         shifts = vgrid @ src.continuous_basis
         samples = (pts[:, None, :] + shifts[None, :, :]).reshape(
             -1, src.ambient_dim)
+        samples = samples[
+            np.linalg.norm(samples, axis=1) <= radius * (1 + 1e-12)]
     else:
-        samples = pts
-    keep = np.linalg.norm(samples, axis=1) <= radius * (1 + 1e-12)
-    samples = samples[keep]
+        samples = pts  # already inside: the cache filtered them by norm
     if samples.shape[0] == 0:
         samples = np.zeros((1, src.ambient_dim))
     if exact:
@@ -475,7 +479,7 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
         if hi0 <= lo0 + 0.45 * params.grid:
             return lo0
     if prof.covering < math.inf and qs >= 1:
-        value = _dense_gap(src, dst, prof, radius, params, stop_above)
+        value = _dense_gap(src, dst, prof, radius, nu, params, stop_above)
         if value is not None:
             return value
     cont_rows = src.continuous_basis if ps else None

@@ -45,6 +45,13 @@ def brute_closest(basis, targets):
     return np.array(out)
 
 
+def brute_gap(src, dst, radius):
+    """Oracle for the directed gap between two discrete subgroups, given
+    by their bases: the largest distance from a point of ``src`` in the
+    radius ball to the lattice of ``dst``."""
+    return float(brute_closest(dst, brute_points_in_ball(src, radius)).max())
+
+
 def brute_norms(group):
     """Oracle for the successive norms: full sorted enumeration up to
     one past the largest finite norm, rank via singular values of the

@@ -159,6 +159,20 @@ def test_params_file(tmp_path, capsys):
     assert json.loads(out)["distance"] == 0
 
 
+@pytest.mark.parametrize("raw, named", [({"grid": -1}, "grid"),
+                                        ({"gird": 0.5}, "gird")])
+def test_bad_params_file_is_a_domain_error(tmp_path, capsys, raw, named):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(raw))
+    code, out = invoke(["dist", str(FIXTURES / "z3.json"),
+                        str(FIXTURES / "z3.json"),
+                        "--params", str(params)], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "OutOfRange"
+    assert named in error["message"]
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["info", "x.json", "--format", "csv"]) == 2

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import chabauty as ch
-from chabauty import invariants, metric, subgroup
-from chabauty.errors import InvalidPair, Unstable
+from chabauty import _lattice, invariants, metric, subgroup
+from chabauty.errors import EnumerationBudgetExceeded, InvalidPair, Unstable
 
-from conftest import random_group
+from conftest import brute_gap, random_group
 
 
 def line_lattice(alpha):
@@ -165,6 +165,46 @@ def test_params_validation():
         ch.MetricParams(radii=(1.0, 1.0), weights=(1.0, 0.5))
     with pytest.raises(ValueError):
         ch.MetricParams(grid=0.0)
+    with pytest.raises(ValueError):
+        ch.MetricParams(grid=float("nan"))
+    with pytest.raises(ValueError):
+        ch.MetricParams(radii=(1.0, float("inf")), weights=(1.0, 0.5))
+    with pytest.raises(ValueError):
+        ch.MetricParams(cap=0)
+
+
+def test_dense_gap_matches_brute_oracle(rng):
+    params = ch.MetricParams()
+    for i in range(20):
+        n = 2 + (i // 2) % 2
+        radius = (1.0, 2.0, 4.0, 8.0)[(i // 4) % 4]
+        a = random_group(rng, n, (0, n))
+        if i % 2 == 0:  # a near pair (I + eps M) a
+            eps = 10.0 ** rng.uniform(-3, -1)
+            b = ch.apply_linear(np.eye(n) + eps * rng.normal(size=(n, n)), a)
+        else:
+            b = random_group(rng, n, (0, n))
+        want = brute_gap(a.discrete_basis, b.discrete_basis, radius)
+        nu = _lattice.dual_coefficient_norms(a.discrete_basis)
+        got = metric._dense_gap(a, b, metric._TargetProfile(b), radius, nu,
+                                params, None)
+        assert got == pytest.approx(want, abs=1e-12)
+        oracle = max(want, brute_gap(b.discrete_basis, a.discrete_basis,
+                                     radius))
+        gap = ch.hausdorff_gap(a, b, radius, params)
+        assert oracle - params.grid <= gap <= oracle + params.grid / 2
+
+
+def test_budget_error_states_its_numbers():
+    lattice = ch.make_subgroup(2, None, [(1.0, 0.0), (0.3, 1.1)])
+    with pytest.raises(EnumerationBudgetExceeded) as info:
+        ch.hausdorff_gap(ch.standard_subgroup(2, 2, 0), lattice, 4.0,
+                         ch.MetricParams(cap=10))
+    message = str(info.value)
+    assert "over the cap of 10 " in message
+    for part in ("evaluations", "open cells left", "incumbent",
+                 "best open bound"):
+        assert part in message
 
 
 def test_caches_free_their_subgroups():

@@ -7,6 +7,7 @@ import pytest
 
 import chabauty as ch
 from chabauty import _lattice
+from chabauty.subgroup import points_in_ball_with_coefficients
 from chabauty.errors import (DimensionMismatch, EnumerationBudgetExceeded,
                              InvalidType, NonClosedInput, NonFiniteInput,
                              SingularMatrix)
@@ -87,19 +88,45 @@ def test_points_in_ball_examples():
                                [[0.0, 0.0]])
 
 
-def test_points_in_ball_matches_brute_oracle(rng):
+def _ball_cases(rng):
     skewed = ch.make_subgroup(3, None, [(1, 0, 0), (0, 1, 0), (0.2, 0.3, 50)])
     cases = [(skewed, 3.0), (skewed, 50.5)]
     for _ in range(40):
         n = int(rng.integers(1, 6))
         g = random_group(rng, n, (0, int(rng.integers(1, n + 1))))
         cases.append((g, float(rng.uniform(0.5, 4.0 if n <= 3 else 2.5))))
-    for g, radius in cases:
+    return cases
+
+
+def test_points_in_ball_matches_brute_oracle(rng):
+    for g, radius in _ball_cases(rng):
         mine = ch.points_in_ball(g, radius)
         brute = brute_points_in_ball(g.discrete_basis, radius)
         a = sorted(map(tuple, np.round(mine, 8)))
         b = sorted(map(tuple, np.round(brute, 8)))
         assert a == b
+
+
+def _order_key(point):
+    return (round(float(np.linalg.norm(point)), 9),
+            *(round(float(x), 9) for x in point))
+
+
+def test_points_in_ball_order_contract(rng):
+    for g, radius in _ball_cases(rng):
+        pts, coeffs = points_in_ball_with_coefficients(g, radius)
+        np.testing.assert_allclose(coeffs @ g.discrete_basis, pts,
+                                   rtol=0, atol=1e-9)
+        keys = [_order_key(p) for p in pts]
+        assert keys == sorted(keys)
+        # the sort is the only difference from the search order
+        found, found_coeffs, sq = _lattice.search_ball(g.discrete_basis,
+                                                       radius)
+        np.testing.assert_allclose(sq, np.linalg.norm(found, axis=1) ** 2,
+                                   rtol=1e-12, atol=1e-12)
+        order = sorted(range(len(found)), key=lambda i: _order_key(found[i]))
+        assert np.array_equal(pts, found[order])
+        assert np.array_equal(coeffs, found_coeffs[order])
 
 
 def test_points_in_ball_budget():
