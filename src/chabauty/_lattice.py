@@ -1,5 +1,5 @@
 """Low-level lattice numerics: orthonormalization, LLL reduction, exact
-ball enumeration and closest-vector queries.
+ball enumeration, closest-vector queries and covering radii.
 
 Bases are stored as row vectors.  All reductions act by integer row
 operations only, so the generated lattice is preserved exactly up to
@@ -30,6 +30,8 @@ _EPS = 1e-12
 _DELTA = 0.75
 _EXACT = 2.0 ** 52
 _NOISE = 64 * np.finfo(float).eps  # coefficient weight per generator norm
+_WALK_BUDGET = 2_000_000  # ratio tests on one level of the Voronoi walk
+_JITTER_SEED = 20240817  # fixes the perturbation of that walk
 
 
 def orthonormalize(rows, tol: float = 1e-9) -> np.ndarray:
@@ -330,8 +332,60 @@ def enumerate_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
     return pts[order], cs[order]
 
 
+def _voronoi_walk(normals, rhs):
+    """Tight sets of the vertices of the simple bounded polytope
+    {y : normals @ y <= rhs}, which holds 0 inside and whose rows 2c and
+    2c + 1 are opposite under one right-hand side, by pivoting (Avis &
+    Fukuda, Discrete Comput. Geom. 8, 1992) one level at a time and one
+    vertex per pair v, -v, whose tight sets differ by k -> k ^ 1."""
+    m2, q = normals.shape
+    slack, free, start = rhs.copy(), np.eye(q), []
+    for _ in range(q):  # a first vertex; each step keeps the rows met tight
+        d = free[np.argmax(np.diag(free))]
+        rate = normals @ d
+        rate[start] = 0.0
+        step = np.divide(slack, rate, where=rate > 0,
+                         out=np.full(m2, np.inf))
+        k = int(np.argmin(step))
+        slack -= step[k] * rate
+        start.append(k)
+        r = free @ normals[k]
+        free -= np.outer(r, r) / (r @ r)
+
+    def canonical(tight):  # the one of v, -v whose least index is even
+        tight = np.sort(tight, axis=1)
+        return np.where(tight[:, :1] & 1, tight ^ 1, tight)
+
+    frontier = canonical(np.array([start]))
+    seen, kept, cols = {frontier[0].tobytes()}, [frontier], np.arange(q)
+    while frontier.shape[0]:
+        f = frontier.shape[0]
+        if f * q * m2 > _WALK_BUDGET:
+            raise EnumerationBudgetExceeded(
+                f"Voronoi cell of a rank-{q} lattice: {2 * len(seen)} "
+                f"vertices found, and a frontier of {2 * f} takes "
+                f"{f * q * m2} ratio tests, over the budget of {_WALK_BUDGET}")
+        # column i of -inv leaves facet i and keeps the others tight
+        cross = normals @ np.linalg.inv(normals[frontier])
+        slack = rhs[:, None] - cross @ rhs[frontier][..., None]
+        slack[np.arange(f)[:, None], frontier] = np.inf
+        # minus the step to each row along each edge: the first met wins
+        step = np.divide(slack, cross, where=cross < 0,
+                         out=np.full(cross.shape, -np.inf))
+        tight = np.repeat(frontier[:, None, :], q, axis=1)
+        tight[:, cols, cols] = np.argmax(step, axis=1)
+        fresh = {row.tobytes(): row for row in canonical(tight.reshape(-1, q))
+                 if row.tobytes() not in seen}
+        seen.update(fresh)
+        frontier = np.array(list(fresh.values()), np.int64).reshape(-1, q)
+        kept.append(frontier)
+    reps = np.vstack(kept)
+    return np.vstack([reps, reps ^ 1])
+
+
 class LatticeSolver:
-    """Exact batched closest-vector queries against a fixed lattice.
+    """Exact batched closest-vector queries against a fixed lattice, and
+    its covering radius.
 
     The basis is LLL-reduced once.  A query keeps the nearest-plane
     (Babai) point when its in-span residual is below half the shortest
@@ -344,9 +398,11 @@ class LatticeSolver:
         b = np.atleast_2d(np.asarray(basis, dtype=float))
         self.rank = b.shape[0]
         self.dim = b.shape[1]
+        self._cover = None
         if self.rank == 0:
             self.basis = b.reshape(0, self.dim)
             self.covering_bound = 0.0
+            self._cover = (0.0, np.zeros((1, self.dim)))
             return
         self.basis = lll_reduce(b)
         self._bstar, self._mu = _gso(self.basis)
@@ -391,3 +447,43 @@ class LatticeSolver:
             d2[rows] = cd2[first]
             coeffs[rows] = cand[first]
         return np.sqrt(d2), coeffs
+
+    def covering_radius(self):
+        """Covering radius mu and the vertices of the Voronoi cell of 0,
+        farthest first, as rows of a (k, dim) array; computed once.
+
+        The cell is cut out by <x, r> <= |r|^2 / 2 for +-r, r the
+        shortest vector of each nonzero class c of L/2L, which is
+        c B - 2 closest(c B / 2) (Conway & Sloane, SPLAG, ch. 2).  Its
+        vertices are walked in Gram-Schmidt coordinates on right-hand
+        sides scaled by 1 + 1e-10 u, u fixed and uniform in [0, 1), which
+        makes every vertex simple, and solved again on the exact ones, so
+        mu carries no perturbation.  Raises EnumerationBudgetExceeded when
+        the walk is over budget (a generic rank-7 cell has 8! vertices),
+        and at once from rank 9 on.
+        """
+        if self._cover is None:
+            q = self.rank
+            # one level holding the 2^(q-1) vertex pairs of the cube, the
+            # cell of Z^q; checked before the 2^q - 1 closest queries
+            tests = 2 ** (q - 1) * q * (2 ** (q + 1) - 2)
+            if tests > _WALK_BUDGET:
+                raise EnumerationBudgetExceeded(
+                    f"Voronoi cell of a rank-{q} lattice: {2 ** q} vertices "
+                    f"would take {tests} ratio tests, over the budget of "
+                    f"{_WALK_BUDGET}")
+            scale = np.sqrt(self._bstar_sq)
+            classes = (np.arange(1, 2 ** q)[:, None] >> np.arange(q)) & 1
+            near = self.closest(0.5 * classes @ self.basis)[1]
+            rel = (classes - 2 * near) @ ((self._mu + np.eye(q)) * scale)
+            normals = np.stack([rel, -rel], axis=1).reshape(-1, q)
+            rhs = np.repeat(0.5 * np.einsum("ij,ij->i", rel, rel), 2)
+            u = np.random.default_rng(_JITTER_SEED).random(len(rel))
+            tight = _voronoi_walk(normals, rhs * np.repeat(1 + 1e-10 * u, 2))
+            verts = np.linalg.solve(normals[tight],
+                                    rhs[tight][..., None])[..., 0]
+            sizes = np.linalg.norm(verts, axis=1)
+            order = np.argsort(-sizes, kind="stable")
+            self._cover = (float(sizes[order[0]]),
+                           verts[order] @ (self._bstar / scale[:, None]))
+        return self._cover

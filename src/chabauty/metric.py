@@ -8,12 +8,16 @@ least such slack for one ball radius; ``chabauty_distance`` aggregates
 the gaps over dyadic radii with summable weights.
 
 The gap is a supremum of a distance function over the trace of a
-subgroup in a ball.  Sampling that trace densely is hopeless at radius
-64, so the supremum is computed by certified branch and bound instead:
-the group structure gives per-direction Lipschitz bounds (stepping by a
-basis vector b changes the distance by at most dist(b, other)), and the
-search stops when the best undecided cell cannot beat the incumbent by
-more than the configured grid resolution.  The returned value g obeys
+subgroup in a ball.  From the whole space it is exact: min(R, mu), mu
+the covering radius of the target's lattice part, or R when the target
+is not of full rank.  Otherwise sampling the trace densely is hopeless
+at radius 64, so the supremum is computed by certified branch and
+bound: the group structure gives per-direction Lipschitz bounds
+(stepping by a basis vector b changes the distance by at most dist(b,
+other)), and the search stops when the best undecided cell cannot beat
+the incumbent by more than the configured grid resolution, unless a
+dense sample of the source comes within the grid of mu, which bounds
+every gap towards a full-rank target.  The returned value g obeys
 g_true - grid <= g <= g_true + grid/2, the same contract as grid
 sampling of the continuous directions.
 """
@@ -73,19 +77,16 @@ DEFAULT_PARAMS = MetricParams()
 
 
 class _TargetProfile:
-    """Distance oracle for a fixed target subgroup; its solver is the
-    subgroup's cached one."""
+    """Distance oracle for a fixed target subgroup other than the full
+    space; its solver is the subgroup's cached one."""
 
     def __init__(self, group: ClosedSubgroup):
         self.cont = group.continuous_basis
         self.has_cont = self.cont.shape[0] > 0
         self.solver = _solver(group) if group.discrete_rank else None
-        if group.rank == group.ambient_dim and self.solver is not None:
-            self.covering = self.solver.covering_bound
-        elif group.rank == group.ambient_dim:
-            self.covering = 0.0  # the full space
-        else:
-            self.covering = math.inf
+        # nearest-plane output bounds every distance to a full-rank target
+        self.covering = (self.solver.covering_bound
+                         if group.rank == group.ambient_dim else math.inf)
 
     def dist(self, points: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(points)
@@ -97,61 +98,44 @@ class _TargetProfile:
         return d
 
 
-_cell_sups: "weakref.WeakKeyDictionary[ClosedSubgroup, dict]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _certified_sup(f_batch, int_basis, int_lips, int_bounds,
-                   cont_rows, cont_vlips, cont_lo, cont_hi,
-                   ball_radius, grid, stop_above, budget,
-                   probe_points=None, ub_cap=math.inf):
+def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
+                   cont_lip, ball_radius, grid, stop_above, budget,
+                   probe_points, ub_cap):
     """Certified supremum of f over a box of lattice coefficients and
-    continuous coordinates, optionally intersected with a ball.
+    orthonormal continuous coordinates in [-ball_radius, ball_radius],
+    intersected with the ball.
 
-    ``int_lips``/``cont_vlips`` bound the change of f per unit step in
-    each coordinate; the spatial step sizes are the row norms.  Returns
-    ``(lo, argmax)`` with an attained value lo such that
-    sup <= lo + grid (unless ``stop_above`` fired first, in which case
-    lo >= stop_above).
+    ``int_lips`` and ``cont_lip`` (one for every continuous coordinate)
+    bound the change of f per unit step in a coordinate; the spatial
+    step sizes are the row norms.  Returns an attained value lo such
+    that sup <= lo + grid (unless ``stop_above`` fired first, in which
+    case lo >= stop_above).
     """
     qi = 0 if int_basis is None else int_basis.shape[0]
     pc = 0 if cont_rows is None else cont_rows.shape[0]
+    cont_vlips = np.full(pc, cont_lip)
+    dim = int_basis.shape[1] if qi else cont_rows.shape[1]
     grid_eff = 0.45 * grid
-    fuzz = math.inf
-    if ball_radius is not None:
-        fuzz = ball_radius * (1 + 1e-12) + grid_eff
+    fuzz = ball_radius * (1 + 1e-12) + grid_eff
     int_rows_norm = (np.linalg.norm(int_basis, axis=1)
                      if qi else np.zeros(0))
     cont_rows_norm = (np.linalg.norm(cont_rows, axis=1)
                       if pc else np.zeros(0))
-    cont_orth = pc > 0 and np.allclose(cont_rows @ cont_rows.T, np.eye(pc),
-                                       atol=1e-9)
     lo = 0.0
-    arg = np.zeros(int_basis.shape[1] if int_basis is not None
-                   else cont_rows.shape[1])
     evals = 0
 
-    if probe_points is not None and len(probe_points):
-        pts = np.atleast_2d(np.asarray(probe_points, dtype=float))
-        if ball_radius is not None:
-            pts = pts[np.linalg.norm(pts, axis=1) <= fuzz]
-        if pts.shape[0]:
-            vals = f_batch(pts)
-            evals += pts.shape[0]
-            best = int(np.argmax(vals))
-            if float(vals[best]) > lo:
-                lo = float(vals[best])
-                arg = pts[best]
+    if probe_points is not None:  # they hold the origin
+        pts = probe_points[np.linalg.norm(probe_points, axis=1) <= fuzz]
+        evals += pts.shape[0]
+        lo = max(lo, float(np.max(f_batch(pts))))
     if stop_above is not None and lo >= stop_above:
-        return lo, arg
-    if qi == 0 and pc == 0:
-        return lo, arg
+        return lo
 
     counter = 0
     root = (np.full(qi, -1, dtype=np.int64) * int_bounds if qi else None,
             int_bounds.copy() if qi else None,
-            np.asarray(cont_lo, dtype=float).copy() if pc else None,
-            np.asarray(cont_hi, dtype=float).copy() if pc else None)
+            np.full(pc, -float(ball_radius)) if pc else None,
+            np.full(pc, float(ball_radius)) if pc else None)
     heap = [(-math.inf, counter, root)]
 
     while heap:
@@ -165,27 +149,17 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds,
                 batch.append(cell)
         if not batch:
             break
-        # evaluation points
-        xs = np.zeros((len(batch), (int_basis.shape[1] if qi
-                                    else cont_rows.shape[1])))
-        bases = np.zeros_like(xs)
-        vmids = []
+        # evaluation points; a cell centre outside the ball slides its
+        # continuous coordinates towards the origin
+        xs = np.zeros((len(batch), dim))
         for i, (clo, chi, vlo, vhi) in enumerate(batch):
-            base = ((clo + chi) // 2) @ int_basis if qi else 0.0
-            bases[i] = base
+            x = ((clo + chi) // 2) @ int_basis if qi else np.zeros(dim)
             if pc:
-                vmid = 0.5 * (vlo + vhi)
-                x = base + vmid @ cont_rows
-                if ball_radius is not None and cont_orth \
-                        and np.linalg.norm(x) > fuzz:
-                    vslid = np.clip(-(bases[i] @ cont_rows.T), vlo, vhi)
-                    x = base + vslid @ cont_rows
-                    vmid = vslid
-                vmids.append(vmid)
-                xs[i] = x
-            else:
-                vmids.append(None)
-                xs[i] = base
+                v = 0.5 * (vlo + vhi)
+                if np.linalg.norm(x + v @ cont_rows) > fuzz:
+                    v = np.clip(-(x @ cont_rows.T), vlo, vhi)
+                x = x + v @ cont_rows
+            xs[i] = x
         vals = f_batch(xs)
         evals += len(batch)
         if evals > budget:
@@ -195,12 +169,9 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds,
                 f"{len(heap) + len(batch)} open cells left, incumbent "
                 f"{lo:.6g}, best open bound {top_ub:.6g}")
         sizes = np.linalg.norm(xs, axis=1)
-        for i, cell in enumerate(batch):
-            if sizes[i] <= fuzz and float(vals[i]) > lo:
-                lo = float(vals[i])
-                arg = xs[i]
+        lo = float(np.max(vals[sizes <= fuzz], initial=lo))
         if stop_above is not None and lo >= stop_above:
-            return lo, arg
+            return lo
         for i, (clo, chi, vlo, vhi) in enumerate(batch):
             hw_int = ((chi - clo + 1) // 2).astype(float) if qi else None
             hw_cont = 0.5 * (vhi - vlo) if pc else None
@@ -214,13 +185,11 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds,
                 spatial += float(hw_cont @ cont_rows_norm)
             # the target contains 0, so f(x) <= |x| caps cells near the
             # origin; the ball caps everything at its radius
-            reach_cap = sizes[i] + spatial
-            if ball_radius is not None:
-                reach_cap = min(reach_cap, fuzz)
+            reach_cap = min(sizes[i] + spatial, fuzz)
             ub = min(float(vals[i]) + value_radius, ub_cap, reach_cap)
             if ub <= lo + grid_eff:
                 continue
-            if ball_radius is not None and sizes[i] - spatial > fuzz:
+            if sizes[i] - spatial > fuzz:
                 continue  # no point of the cell reaches the ball
             # pick the split direction by value extent, spatial fallback
             best_dim, best_gain, best_kind = -1, 0.0, None
@@ -262,52 +231,7 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds,
             for child in children:
                 counter += 1
                 heapq.heappush(heap, (-ub, counter, child))
-    return lo, arg
-
-
-def _corner_probes(basis: np.ndarray) -> np.ndarray:
-    """Half-integer combinations of the rows: deep-hole candidates."""
-    q = basis.shape[0]
-    if q == 0:
-        return np.zeros((1, basis.shape[1] if basis.ndim == 2 else 0))
-    if q <= 6:
-        ranges = [np.array([-0.5, 0.0, 0.5])] * q
-        grids = np.meshgrid(*ranges, indexing="ij")
-        u = np.stack([g.reshape(-1) for g in grids], axis=1)
-    else:
-        u = 0.5 * np.ones((1, q))
-    return u @ basis
-
-
-def _cell_sup_full(target: ClosedSubgroup, params: MetricParams,
-                   stop_above):
-    """Certified sup of dist(., target) over one fundamental cell of a
-    full-rank target; equals the sup over any ball that is at least as
-    large as the covering radius.  Returns (value, argmax, certified).
-    """
-    cache = _cell_sups.setdefault(target, {})
-    key = round(params.grid, 12)
-    hit = cache.get(key)
-    if hit is not None:
-        value, arg, certified = hit
-        if certified or (stop_above is not None and value >= stop_above):
-            return value, arg, certified
-    prof = _TargetProfile(target)
-    if prof.solver is None:  # the full space
-        return 0.0, np.zeros(target.ambient_dim), True
-    basis = prof.solver.basis
-    q = basis.shape[0]
-    lips = np.linalg.norm(basis, axis=1)
-    value, arg = _certified_sup(
-        prof.dist, None, None, None,
-        basis, lips, -0.5 * np.ones(q), 0.5 * np.ones(q),
-        None, params.grid, stop_above, params.cap,
-        probe_points=_corner_probes(basis), ub_cap=prof.covering)
-    certified = stop_above is None or value < stop_above
-    prev = cache.get(key)
-    if prev is None or value > prev[0] or (certified and not prev[2]):
-        cache[key] = (value, arg, certified)
-    return value, arg, certified
+    return lo
 
 
 _enum_cache: "weakref.WeakKeyDictionary[ClosedSubgroup, tuple]" = \
@@ -329,18 +253,18 @@ def _cached_lattice_points(src: ClosedSubgroup, radius: float, cap: int):
 def _dense_gap(src: ClosedSubgroup, dst: ClosedSubgroup,
                prof: _TargetProfile, radius: float, nu: np.ndarray,
                params: MetricParams, stop_above):
-    """Directed gap against a full-rank target via dense sampling.
+    """Directed gap from a source with a lattice part against a
+    full-rank target via dense sampling.
 
-    The sup of dist(., dst) over the whole space equals the certified
-    cell supremum.  The source trace usually samples the target's
-    fundamental cell finely enough that some source point gets within
-    the grid resolution of that supremum, which certifies the answer
-    without any search.  ``nu`` holds the dual-basis norms of the
-    source lattice.  Returns None when the certificate fails.
+    The sup of dist(., dst) over the whole space is the covering radius
+    mu of the target's lattice part, an upper bound on the gap.  The
+    source trace usually samples the target's fundamental cell finely
+    enough that some source point gets within the grid resolution of mu,
+    which certifies the answer without any search.  ``nu`` holds the
+    dual-basis norms of the source lattice.  Returns None when the
+    certificate fails.
     """
     qs, ps = src.discrete_rank, src.continuous_dim
-    if qs == 0 or prof.solver is None:
-        return None
     box = float(np.prod(2 * np.floor(radius * nu + 1e-9) + 1))
     budget = 2 * params.cap if ps == 0 else params.cap // 10
     r_eff = radius
@@ -377,13 +301,10 @@ def _dense_gap(src: ClosedSubgroup, dst: ClosedSubgroup,
             lo = max(lo, float(np.max(
                 prof.dist(samples[start:start + 20_000]))))
         return lo
-    hi, hi_arg, hi_cert = _cell_sup_full(dst, params, stop_above)
-    targets = np.vstack([_corner_probes(prof.solver.basis), hi_arg])
-    tvals = prof.dist(targets)
-    order = np.argsort(-tvals)[:8]
-    targets = targets[order]
-    # hash the samples onto the target cell and pick, per target, the
-    # sample whose reduced image lands closest
+    hi, vertices = prof.solver.covering_radius()
+    targets = vertices[:8]
+    # hash the samples onto the target cell and pick, per target (a
+    # farthest vertex of its Voronoi cell), the closest reduced image
     reduced = samples.copy()
     if prof.has_cont:
         reduced = reduced - (reduced @ prof.cont.T) @ prof.cont
@@ -410,7 +331,7 @@ def _dense_gap(src: ClosedSubgroup, dst: ClosedSubgroup,
     lo = float(np.max(prof.dist(cand)))
     if stop_above is not None and lo >= stop_above:
         return lo
-    if hi_cert and hi - lo <= 0.999 * params.grid:
+    if hi - lo <= 0.999 * params.grid:
         return lo
     return None
 
@@ -441,17 +362,19 @@ def _lattice_probes(basis: np.ndarray, radius: float) -> np.ndarray:
 def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
                   params: MetricParams, stop_above) -> float:
     ps, qs = src.group_type
+    n = src.ambient_dim
     if ps == 0 and qs == 0:
         return 0.0
-    prof = _TargetProfile(dst)
-    if dst.rank == dst.ambient_dim and dst.discrete_rank == 0:
+    if dst.rank == n and dst.discrete_rank == 0:
         return 0.0  # the target is the full space
-    n = src.ambient_dim
-    # every value of dist(., dst) is already attained inside the ball of
-    # the covering radius, so beyond it the sup no longer depends on R
-    if ps == n and prof.covering < math.inf and prof.solver is not None \
-            and radius >= prof.covering:
-        return _cell_sup_full(dst, params, stop_above)[0]
+    if ps == n:
+        # dist(x, dst) <= |x| as 0 lies in dst, with equality exactly on
+        # the Voronoi cell of 0, a convex set reaching out to the covering
+        # radius; a target of lower rank leaves a whole direction free
+        if dst.rank < n:
+            return radius
+        return min(radius, _solver(dst).covering_radius()[0])
+    prof = _TargetProfile(dst)
     int_basis = src.discrete_basis if qs else None
     int_lips = None
     int_bounds = None
@@ -482,35 +405,10 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
         value = _dense_gap(src, dst, prof, radius, nu, params, stop_above)
         if value is not None:
             return value
-    cont_rows = src.continuous_basis if ps else None
-    cont_vlips = None
-    cont_lo = cont_hi = None
-    if ps:
-        cont_vlips = np.full(ps, sigma)
-        cont_lo = np.full(ps, -radius)
-        cont_hi = np.full(ps, radius)
-        if ps == n:
-            extras = []
-            if prof.solver is not None:
-                corners = _corner_probes(prof.solver.basis)
-                lens = np.linalg.norm(corners, axis=1)
-                shrink = np.minimum(1.0, radius * 0.999
-                                    / np.maximum(lens, 1e-300))
-                extras.append(corners * shrink[:, None])
-            per_axis = 7 if n <= 3 else 5
-            axes = [np.linspace(-radius, radius, per_axis)] * n
-            mesh = np.meshgrid(*axes, indexing="ij")
-            grid_pts = np.stack([g.reshape(-1) for g in mesh], axis=1)
-            extras.append(grid_pts[
-                np.linalg.norm(grid_pts, axis=1) <= radius * (1 + 1e-12)])
-            extra = np.vstack(extras)
-            probes = extra if probes is None else np.vstack([probes, extra])
-    value, _ = _certified_sup(
+    return _certified_sup(
         prof.dist, int_basis, int_lips, int_bounds,
-        cont_rows, cont_vlips, cont_lo, cont_hi,
-        radius, params.grid, stop_above, params.cap,
-        probe_points=probes, ub_cap=prof.covering)
-    return value
+        src.continuous_basis if ps else None, sigma,
+        radius, params.grid, stop_above, params.cap, probes, prof.covering)
 
 
 def hausdorff_gap(group_a: ClosedSubgroup, group_b: ClosedSubgroup,
@@ -522,12 +420,13 @@ def hausdorff_gap(group_a: ClosedSubgroup, group_b: ClosedSubgroup,
     in the closed ball lies within e of the other subgroup.  The
     returned value differs from it by at most ``params.grid``.  When
     ``stop_above`` is given the search may stop early once the result
-    is known to be at least that large.
+    is known to be at least that large.  Raises ValueError unless the
+    radius is finite and nonnegative.
     """
     if group_a.ambient_dim != group_b.ambient_dim:
         raise DimensionMismatch("subgroups live in different dimensions")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0 <= radius < math.inf:
+        raise ValueError("radius must be finite and nonnegative")
     first = _directed_gap(group_a, group_b, radius, params, stop_above)
     if stop_above is not None and first >= stop_above:
         return first
@@ -568,7 +467,10 @@ def neighborhood_test(group_new: ClosedSubgroup, group_ref: ClosedSubgroup,
                       params: MetricParams = DEFAULT_PARAMS) -> bool:
     """Do the two traces in the radius ball lie within eps of each
     other, both ways?  Evaluated on the searched point sets, so answers
-    within ``params.grid`` of the threshold may go either way."""
+    within ``params.grid`` of the threshold may go either way.  Raises
+    ValueError unless the radius and eps are finite and nonnegative."""
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be finite and nonnegative")
     gap = hausdorff_gap(group_new, group_ref, radius, params,
                         stop_above=eps * (1 + 1e-9) + 1e-12)
     return gap <= eps

@@ -45,6 +45,22 @@ def brute_closest(basis, targets):
     return np.array(out)
 
 
+def brute_covering_radius(basis, steps):
+    """Oracle for the covering radius, from below: the largest
+    ``brute_closest`` distance over the grid of ``steps`` points per
+    axis of the fundamental parallelepiped.  Every point of the
+    parallelepiped lies within half a grid cell's diameter (its longest
+    diagonal) of the grid, which bounds the covering radius from above.
+    Returns ``(oracle, half_diameter)``."""
+    basis = np.atleast_2d(np.asarray(basis, dtype=float))
+    q = basis.shape[0]
+    mesh = np.meshgrid(*[np.arange(steps) / steps] * q, indexing="ij")
+    coeffs = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    signs = 2 * ((np.arange(2 ** q)[:, None] >> np.arange(q)) & 1) - 1
+    diag = np.linalg.norm(signs @ basis, axis=1).max() / steps
+    return float(brute_closest(basis, coeffs @ basis).max()), 0.5 * diag
+
+
 def brute_gap(src, dst, radius):
     """Oracle for the directed gap between two discrete subgroups, given
     by their bases: the largest distance from a point of ``src`` in the

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from chabauty import _lattice
 from chabauty.errors import EnumerationBudgetExceeded
 
-from conftest import brute_closest, random_group
+from conftest import brute_closest, brute_covering_radius, random_group
 
 
 def skewed_basis(rng, n):
@@ -277,3 +277,76 @@ def test_stress_corpus_has_no_silent_errors():
                               combos)
     # 576 of the 600 at the time of writing
     assert answered >= 550
+
+
+def root_lattice(name, n):
+    """A_n in R^(n+1), or D_n in R^n, with roots of norm sqrt(2)."""
+    if name == "A":
+        return np.eye(n, n + 1) - np.eye(n, n + 1, k=1)
+    basis = np.eye(n) - np.eye(n, k=-1)
+    basis[0, 1] = -1.0
+    basis[0, 0] = -1.0
+    return basis
+
+
+# covering radii from Conway & Sloane, SPLAG, ch. 4
+@pytest.mark.parametrize("basis, mu", [
+    *[(np.eye(n), math.sqrt(n) / 2) for n in range(2, 7)],
+    (np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]]), 1 / math.sqrt(3)),
+    (root_lattice("A", 3), 1.0),
+    (root_lattice("D", 4), 1.0),
+    (root_lattice("D", 6), math.sqrt(6) / 2),
+], ids=["Z2", "Z3", "Z4", "Z5", "Z6", "A2", "A3", "D4", "D6"])
+def test_covering_radius_of_known_lattices(basis, mu):
+    solver = _lattice.LatticeSolver(basis)
+    got, vertices = solver.covering_radius()
+    assert got == pytest.approx(mu, abs=1e-12)
+    sizes = np.linalg.norm(vertices, axis=1)
+    assert sizes[0] == pytest.approx(got, abs=1e-12)
+    assert np.all(np.diff(sizes) <= 1e-12)
+    # each vertex of the Voronoi cell of 0 is as close to 0 as to any
+    # other lattice point
+    near, _ = solver.closest(vertices)
+    assert np.allclose(near, sizes, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_covering_radius_matches_grid_oracle(rng, q):
+    steps = (64, 32, 10, 6)[q - 1]
+    for _ in range(2):
+        n = q + int(rng.integers(0, 2))
+        basis = random_group(rng, n, (0, q)).discrete_basis
+        mu, vertices = _lattice.LatticeSolver(basis).covering_radius()
+        oracle, slack = brute_covering_radius(basis, steps)
+        assert oracle - 1e-12 <= mu <= oracle + slack
+        # a generic cell, such as a random lattice's, has (q + 1)!
+        assert len(vertices) == math.factorial(q + 1)
+        sizes = np.linalg.norm(vertices, axis=1)
+        assert np.allclose(brute_closest(basis, vertices), sizes,
+                           rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [2.0 ** -k for k in range(1, 6)] + [3.0])
+def test_covering_radius_scales(rng, t):
+    for q in range(1, 6):
+        basis = random_group(rng, q, (0, q)).discrete_basis
+        mu = _lattice.LatticeSolver(basis).covering_radius()[0]
+        scaled = _lattice.LatticeSolver(t * basis).covering_radius()[0]
+        assert scaled == pytest.approx(t * mu, rel=1e-12)
+
+
+def test_covering_radius_budget_states_its_numbers():
+    # a generic rank-7 cell has 8! = 40,320 vertices
+    basis = np.random.default_rng(1).normal(size=(7, 7))
+    with pytest.raises(EnumerationBudgetExceeded) as info:
+        _lattice.LatticeSolver(basis).covering_radius()
+    message = str(info.value)
+    assert "rank-7 lattice" in message
+    assert f"over the budget of {_lattice._WALK_BUDGET}" in message
+    assert re.search(r"\d+ vertices found, and a frontier of \d+ takes "
+                     r"\d+ ratio tests", message)
+    # rank 10 is refused before any of its 2^10 - 1 closest-vector queries
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match="rank-10 lattice: 1024 vertices would take "
+                             "10475520 ratio tests"):
+        _lattice.LatticeSolver(np.eye(10)).covering_radius()

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -198,7 +199,7 @@ def test_dense_gap_matches_brute_oracle(rng):
 def test_budget_error_states_its_numbers():
     lattice = ch.make_subgroup(2, None, [(1.0, 0.0), (0.3, 1.1)])
     with pytest.raises(EnumerationBudgetExceeded) as info:
-        ch.hausdorff_gap(ch.standard_subgroup(2, 2, 0), lattice, 4.0,
+        ch.hausdorff_gap(ch.make_subgroup(2, [(0.6, 0.8)]), lattice, 4.0,
                          ch.MetricParams(cap=10))
     message = str(info.value)
     assert "over the cap of 10 " in message
@@ -208,7 +209,7 @@ def test_budget_error_states_its_numbers():
 
 
 def test_caches_free_their_subgroups():
-    caches = (subgroup._solvers, metric._cell_sups, metric._enum_cache,
+    caches = (subgroup._solvers, metric._enum_cache,
               invariants._generation_memo)
     gc.collect()
     before = [len(c) for c in caches]
@@ -224,3 +225,45 @@ def test_caches_free_their_subgroups():
     gc.collect()
     assert all(r() is None for r in refs)
     assert [len(c) for c in caches] == before
+
+
+PAIRS = [((2, 0, 2), (2, 2, 0)), ((2, 2, 0), (2, 0, 2)),
+         ((2, 0, 2), (2, 0, 2)), ((3, 1, 1), (3, 0, 3)),
+         ((1, 0, 1), (1, 0, 0))]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("pair", PAIRS)
+def test_radius_and_eps_must_be_finite(pair, value):
+    a, b = (ch.standard_subgroup(*t) for t in pair)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        ch.hausdorff_gap(a, b, value)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        ch.neighborhood_test(a, b, value, 0.1)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        ch.neighborhood_test(a, b, 2.0, value)
+
+
+def test_gap_from_the_full_space_is_the_covering_radius(rng):
+    for n in range(1, 5):
+        full = ch.standard_subgroup(n, n, 0)
+        for p in range(n):
+            target = random_group(rng, n, (p, n - p))
+            mu = subgroup._solver(target).covering_radius()[0]
+            lower = random_group(rng, n, (p, n - p - 1))
+            for radius in (0.25, 0.5, 1.0, 2.0, 4.0):
+                assert ch.hausdorff_gap(full, target, radius) == \
+                    min(radius, mu)
+                assert ch.hausdorff_gap(target, full, radius) == \
+                    min(radius, mu)
+                assert ch.hausdorff_gap(full, lower, radius) == radius
+
+
+def test_lattice_of_r6_against_r6_answers():
+    lattice = ch.random_subgroup(6, (0, 6), seed=6)
+    full = ch.standard_subgroup(6, 6, 0)
+    mu = subgroup._solver(lattice).covering_radius()[0]
+    params = ch.MetricParams()
+    want = sum(w * min(1.0, r, mu)
+               for r, w in zip(params.radii, params.weights))
+    assert ch.chabauty_distance(lattice, full) == pytest.approx(want)
