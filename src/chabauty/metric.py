@@ -23,7 +23,6 @@ sampling of the continuous directions.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -98,6 +97,19 @@ class _TargetProfile:
         return d
 
 
+def _top(ub, k):
+    """Indices of the k highest entries of ub, highest first and ties to
+    the earliest: the order in which a heap keyed on (-ub, index) pops
+    them, found in time linear in the length of ub."""
+    idx = np.arange(ub.size)
+    if ub.size > k:
+        kth = np.partition(ub, ub.size - k)[ub.size - k]
+        above = np.flatnonzero(ub > kth)
+        ties = np.flatnonzero(ub == kth)[:k - above.size]
+        idx = np.union1d(above, ties)
+    return idx[np.argsort(-ub[idx], kind="stable")]
+
+
 def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
                    cont_lip, ball_radius, grid, stop_above, budget,
                    probe_points, ub_cap):
@@ -110,127 +122,95 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     step sizes are the row norms.  Returns an attained value lo such
     that sup <= lo + grid (unless ``stop_above`` fired first, in which
     case lo >= stop_above).
+
+    The open cells are the rows of one table: bounds ``cell_lo`` and
+    ``cell_hi`` with one column per coordinate, the first ``qi`` of them
+    lattice coefficients (integers, which floats hold exactly), and an
+    upper bound ``ub`` of f on the cell; rows stay in the order they
+    were made.  Each round drops the cells that cannot beat the
+    incumbent by more than the grid, evaluates the 256 highest bounds
+    (ties to the earliest row) at their centres, and appends the two
+    halves of each cell still open, left then right.
     """
     qi = 0 if int_basis is None else int_basis.shape[0]
     pc = 0 if cont_rows is None else cont_rows.shape[0]
-    cont_vlips = np.full(pc, cont_lip)
-    dim = int_basis.shape[1] if qi else cont_rows.shape[1]
+    rows = np.vstack([b for b in (int_basis, cont_rows) if b is not None])
+    is_int = np.arange(qi + pc) < qi
+    lips = np.concatenate([int_lips if qi else [], np.full(pc, cont_lip)])
+    row_norms = np.linalg.norm(rows, axis=1)
     grid_eff = 0.45 * grid
     fuzz = ball_radius * (1 + 1e-12) + grid_eff
-    int_rows_norm = (np.linalg.norm(int_basis, axis=1)
-                     if qi else np.zeros(0))
-    cont_rows_norm = (np.linalg.norm(cont_rows, axis=1)
-                      if pc else np.zeros(0))
+    stop = math.inf if stop_above is None else stop_above
     lo = 0.0
     evals = 0
-
     if probe_points is not None:  # they hold the origin
         pts = probe_points[np.linalg.norm(probe_points, axis=1) <= fuzz]
         evals += pts.shape[0]
         lo = max(lo, float(np.max(f_batch(pts))))
-    if stop_above is not None and lo >= stop_above:
-        return lo
-
-    counter = 0
-    root = (np.full(qi, -1, dtype=np.int64) * int_bounds if qi else None,
-            int_bounds.copy() if qi else None,
-            np.full(pc, -float(ball_radius)) if pc else None,
-            np.full(pc, float(ball_radius)) if pc else None)
-    heap = [(-math.inf, counter, root)]
-
-    while heap:
-        top_ub = -heap[0][0]
-        if top_ub <= lo + grid_eff:
+    half = np.concatenate([int_bounds if qi else [],
+                           np.full(pc, float(ball_radius))])
+    cell_lo, cell_hi, ub = -half[None], half[None], np.array([math.inf])
+    stale = 0  # dropped cells a heap would still hold, for the budget error
+    while lo < stop:
+        rest = ub > lo + grid_eff  # the open cells
+        n_open = int(np.count_nonzero(rest))
+        if not n_open:
             break
-        batch = []
-        while heap and len(batch) < 256:
-            ub, _, cell = heapq.heappop(heap)
-            if -ub > lo + grid_eff:
-                batch.append(cell)
-        if not batch:
-            break
+        stale = stale + ub.size - n_open if n_open >= 256 else 0
+        pick = _top(ub, min(n_open, 256))
+        rest[pick] = False
+        blo, bhi = cell_lo[pick], cell_hi[pick]
         # evaluation points; a cell centre outside the ball slides its
         # continuous coordinates towards the origin
-        xs = np.zeros((len(batch), dim))
-        for i, (clo, chi, vlo, vhi) in enumerate(batch):
-            x = ((clo + chi) // 2) @ int_basis if qi else np.zeros(dim)
-            if pc:
-                v = 0.5 * (vlo + vhi)
-                if np.linalg.norm(x + v @ cont_rows) > fuzz:
-                    v = np.clip(-(x @ cont_rows.T), vlo, vhi)
-                x = x + v @ cont_rows
-            xs[i] = x
+        mid = 0.5 * (blo + bhi)
+        mid = np.where(is_int, np.floor(mid), mid)
+        x_int = mid[:, :qi] @ rows[:qi]
+        far = np.linalg.norm(x_int + mid[:, qi:] @ rows[qi:], axis=1) > fuzz
+        v = mid[:, qi:].copy()
+        v[far] = np.clip(-(x_int[far] @ rows[qi:].T),
+                         blo[far, qi:], bhi[far, qi:])
+        xs = x_int + v @ rows[qi:]
         vals = f_batch(xs)
-        evals += len(batch)
+        evals += pick.size
         if evals > budget:
             raise EnumerationBudgetExceeded(
                 f"distance evaluation budget exhausted: {evals} evaluations "
                 f"over the cap of {budget} (MetricParams.cap), "
-                f"{len(heap) + len(batch)} open cells left, incumbent "
-                f"{lo:.6g}, best open bound {top_ub:.6g}")
+                f"{n_open + stale} open cells left, incumbent "
+                f"{lo:.6g}, best open bound {ub[pick[0]]:.6g}")
         sizes = np.linalg.norm(xs, axis=1)
         lo = float(np.max(vals[sizes <= fuzz], initial=lo))
-        if stop_above is not None and lo >= stop_above:
-            return lo
-        for i, (clo, chi, vlo, vhi) in enumerate(batch):
-            hw_int = ((chi - clo + 1) // 2).astype(float) if qi else None
-            hw_cont = 0.5 * (vhi - vlo) if pc else None
-            value_radius = 0.0
-            spatial = 0.0
-            if qi:
-                value_radius += float(hw_int @ int_lips)
-                spatial += float(hw_int @ int_rows_norm)
-            if pc:
-                value_radius += float(hw_cont @ cont_vlips)
-                spatial += float(hw_cont @ cont_rows_norm)
-            # the target contains 0, so f(x) <= |x| caps cells near the
-            # origin; the ball caps everything at its radius
-            reach_cap = min(sizes[i] + spatial, fuzz)
-            ub = min(float(vals[i]) + value_radius, ub_cap, reach_cap)
-            if ub <= lo + grid_eff:
-                continue
-            if sizes[i] - spatial > fuzz:
-                continue  # no point of the cell reaches the ball
-            # pick the split direction by value extent, spatial fallback
-            best_dim, best_gain, best_kind = -1, 0.0, None
-            if qi:
-                gains = hw_int * int_lips
-                j = int(np.argmax(gains))
-                if gains[j] > best_gain and chi[j] > clo[j]:
-                    best_dim, best_gain, best_kind = j, float(gains[j]), "i"
-            if pc:
-                gains = hw_cont * cont_vlips
-                j = int(np.argmax(gains))
-                if gains[j] > best_gain:
-                    best_dim, best_gain, best_kind = j, float(gains[j]), "c"
-            if best_kind is None or best_gain <= 0.25 * grid_eff:
-                # value variation is resolved; split on spatial extent so
-                # the ball membership resolves too
-                if qi and np.any(chi > clo):
-                    spans = (chi - clo).astype(float) * int_rows_norm
-                    best_dim, best_kind = int(np.argmax(spans)), "i"
-                elif pc and spatial > grid_eff:
-                    spans = hw_cont * cont_rows_norm
-                    best_dim, best_kind = int(np.argmax(spans)), "c"
-                else:
-                    continue  # nothing left to split; cell is resolved
-            if best_kind == "i":
-                mid = (clo[best_dim] + chi[best_dim]) // 2
-                left = (clo.copy(), chi.copy(), vlo, vhi)
-                left[1][best_dim] = mid
-                right = (clo.copy(), chi.copy(), vlo, vhi)
-                right[0][best_dim] = mid + 1
-                children = [left, right]
-            else:
-                mid = 0.5 * (vlo[best_dim] + vhi[best_dim])
-                left = (clo, chi, vlo.copy(), vhi.copy())
-                left[3][best_dim] = mid
-                right = (clo, chi, vlo.copy(), vhi.copy())
-                right[2][best_dim] = mid
-                children = [left, right]
-            for child in children:
-                counter += 1
-                heapq.heappush(heap, (-ub, counter, child))
+        hw = np.where(is_int, np.floor(0.5 * (bhi - blo + 1)),
+                      0.5 * (bhi - blo))
+        spatial = hw @ row_norms
+        # the target contains 0, so f(x) <= |x| caps cells near the
+        # origin; the ball caps everything at its radius
+        cell_ub = np.minimum(np.minimum(vals + hw @ lips, ub_cap),
+                             np.minimum(sizes + spatial, fuzz))
+        # split where the value varies most, lattice coordinates winning
+        # ties; once the values are resolved, split on spatial extent,
+        # lattice coordinates first, so the ball membership resolves too
+        gain = hw * lips
+        j = np.argmax(gain, axis=1)
+        by_value = gain[np.arange(j.size), j] > 0.25 * grid_eff
+        int_open = np.any(bhi[:, :qi] > blo[:, :qi], axis=1)
+        extent = np.where(is_int, bhi - blo, hw) * row_norms
+        j = np.where(by_value, j, np.argmax(
+            np.where(is_int == int_open[:, None], extent, -1.0), axis=1))
+        split = np.flatnonzero(
+            (cell_ub > lo + grid_eff) & (sizes - spatial <= fuzz)
+            & (by_value | int_open | (spatial > grid_eff)))
+        k, js = np.arange(split.size), j[split]
+        left_hi, right_lo = bhi[split], blo[split]
+        left_hi[k, js] = mid[split, js]
+        right_lo[k, js] = mid[split, js] + is_int[js]
+        cell_lo = np.concatenate([
+            cell_lo[rest],
+            np.stack([blo[split], right_lo], axis=1).reshape(-1, qi + pc)])
+        cell_hi = np.concatenate([
+            cell_hi[rest],
+            np.stack([left_hi, bhi[split]], axis=1).reshape(-1, qi + pc)])
+        ub = np.concatenate([ub[rest], np.repeat(cell_ub[split], 2)])
     return lo
 
 

@@ -1,10 +1,14 @@
 """Shared helpers: independent brute-force oracles and case generators."""
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
 import pytest
 
 import chabauty as ch
+from chabauty.errors import EnumerationBudgetExceeded
 
 
 def brute_points_in_ball(basis, radius):
@@ -66,6 +70,137 @@ def brute_gap(src, dst, radius):
     by their bases: the largest distance from a point of ``src`` in the
     radius ball to the lattice of ``dst``."""
     return float(brute_closest(dst, brute_points_in_ball(src, radius)).max())
+
+
+def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
+                            cont_rows, cont_lip, ball_radius, grid,
+                            stop_above, budget, probe_points, ub_cap):
+    """The branch and bound of ``metric._certified_sup`` as it stood
+    before the table of open cells replaced it: tuple cells on a heap
+    keyed on (-ub, push counter), integer and continuous bounds kept
+    apart, one Python loop over each batch.  The module must explore
+    the same cells in the same order and return the same value."""
+    qi = 0 if int_basis is None else int_basis.shape[0]
+    pc = 0 if cont_rows is None else cont_rows.shape[0]
+    cont_vlips = np.full(pc, cont_lip)
+    dim = int_basis.shape[1] if qi else cont_rows.shape[1]
+    grid_eff = 0.45 * grid
+    fuzz = ball_radius * (1 + 1e-12) + grid_eff
+    int_rows_norm = (np.linalg.norm(int_basis, axis=1)
+                     if qi else np.zeros(0))
+    cont_rows_norm = (np.linalg.norm(cont_rows, axis=1)
+                      if pc else np.zeros(0))
+    lo = 0.0
+    evals = 0
+
+    if probe_points is not None:  # they hold the origin
+        pts = probe_points[np.linalg.norm(probe_points, axis=1) <= fuzz]
+        evals += pts.shape[0]
+        lo = max(lo, float(np.max(f_batch(pts))))
+    if stop_above is not None and lo >= stop_above:
+        return lo
+
+    counter = 0
+    root = (np.full(qi, -1, dtype=np.int64) * int_bounds if qi else None,
+            int_bounds.copy() if qi else None,
+            np.full(pc, -float(ball_radius)) if pc else None,
+            np.full(pc, float(ball_radius)) if pc else None)
+    heap = [(-math.inf, counter, root)]
+
+    while heap:
+        top_ub = -heap[0][0]
+        if top_ub <= lo + grid_eff:
+            break
+        batch = []
+        while heap and len(batch) < 256:
+            ub, _, cell = heapq.heappop(heap)
+            if -ub > lo + grid_eff:
+                batch.append(cell)
+        if not batch:
+            break
+        # evaluation points; a cell centre outside the ball slides its
+        # continuous coordinates towards the origin
+        xs = np.zeros((len(batch), dim))
+        for i, (clo, chi, vlo, vhi) in enumerate(batch):
+            x = ((clo + chi) // 2) @ int_basis if qi else np.zeros(dim)
+            if pc:
+                v = 0.5 * (vlo + vhi)
+                if np.linalg.norm(x + v @ cont_rows) > fuzz:
+                    v = np.clip(-(x @ cont_rows.T), vlo, vhi)
+                x = x + v @ cont_rows
+            xs[i] = x
+        vals = f_batch(xs)
+        evals += len(batch)
+        if evals > budget:
+            raise EnumerationBudgetExceeded(
+                f"distance evaluation budget exhausted: {evals} evaluations "
+                f"over the cap of {budget} (MetricParams.cap), "
+                f"{len(heap) + len(batch)} open cells left, incumbent "
+                f"{lo:.6g}, best open bound {top_ub:.6g}")
+        sizes = np.linalg.norm(xs, axis=1)
+        lo = float(np.max(vals[sizes <= fuzz], initial=lo))
+        if stop_above is not None and lo >= stop_above:
+            return lo
+        for i, (clo, chi, vlo, vhi) in enumerate(batch):
+            hw_int = ((chi - clo + 1) // 2).astype(float) if qi else None
+            hw_cont = 0.5 * (vhi - vlo) if pc else None
+            value_radius = 0.0
+            spatial = 0.0
+            if qi:
+                value_radius += float(hw_int @ int_lips)
+                spatial += float(hw_int @ int_rows_norm)
+            if pc:
+                value_radius += float(hw_cont @ cont_vlips)
+                spatial += float(hw_cont @ cont_rows_norm)
+            # the target contains 0, so f(x) <= |x| caps cells near the
+            # origin; the ball caps everything at its radius
+            reach_cap = min(sizes[i] + spatial, fuzz)
+            ub = min(float(vals[i]) + value_radius, ub_cap, reach_cap)
+            if ub <= lo + grid_eff:
+                continue
+            if sizes[i] - spatial > fuzz:
+                continue  # no point of the cell reaches the ball
+            # pick the split direction by value extent, spatial fallback
+            best_dim, best_gain, best_kind = -1, 0.0, None
+            if qi:
+                gains = hw_int * int_lips
+                j = int(np.argmax(gains))
+                if gains[j] > best_gain and chi[j] > clo[j]:
+                    best_dim, best_gain, best_kind = j, float(gains[j]), "i"
+            if pc:
+                gains = hw_cont * cont_vlips
+                j = int(np.argmax(gains))
+                if gains[j] > best_gain:
+                    best_dim, best_gain, best_kind = j, float(gains[j]), "c"
+            if best_kind is None or best_gain <= 0.25 * grid_eff:
+                # value variation is resolved; split on spatial extent so
+                # the ball membership resolves too
+                if qi and np.any(chi > clo):
+                    spans = (chi - clo).astype(float) * int_rows_norm
+                    best_dim, best_kind = int(np.argmax(spans)), "i"
+                elif pc and spatial > grid_eff:
+                    spans = hw_cont * cont_rows_norm
+                    best_dim, best_kind = int(np.argmax(spans)), "c"
+                else:
+                    continue  # nothing left to split; cell is resolved
+            if best_kind == "i":
+                mid = (clo[best_dim] + chi[best_dim]) // 2
+                left = (clo.copy(), chi.copy(), vlo, vhi)
+                left[1][best_dim] = mid
+                right = (clo.copy(), chi.copy(), vlo, vhi)
+                right[0][best_dim] = mid + 1
+                children = [left, right]
+            else:
+                mid = 0.5 * (vlo[best_dim] + vhi[best_dim])
+                left = (clo, chi, vlo.copy(), vhi.copy())
+                left[3][best_dim] = mid
+                right = (clo, chi, vlo.copy(), vhi.copy())
+                right[2][best_dim] = mid
+                children = [left, right]
+            for child in children:
+                counter += 1
+                heapq.heappush(heap, (-ub, counter, child))
+    return lo
 
 
 def brute_norms(group):

@@ -1,15 +1,18 @@
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chabauty as ch
 from chabauty import _lattice, invariants, metric, subgroup
 from chabauty.errors import EnumerationBudgetExceeded, InvalidPair, Unstable
 
-from conftest import brute_gap, random_group
+from conftest import brute_gap, random_group, reference_certified_sup
 
 
 def line_lattice(alpha):
@@ -206,6 +209,35 @@ def test_budget_error_states_its_numbers():
     for part in ("evaluations", "open cells left", "incumbent",
                  "best open bound"):
         assert part in message
+
+
+def _gap_or_message(a, b, radius, params):
+    try:
+        return ch.hausdorff_gap(a, b, radius, params)
+    except EnumerationBudgetExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+       data=st.data())
+def test_branch_and_bound_matches_the_reference(seed, n, data):
+    p = data.draw(st.integers(0, n - 1))
+    q = data.draw(st.integers(1 if p == 0 else 0, n - p))
+    target = data.draw(st.sampled_from(ch.all_types(n)))
+    radius = data.draw(st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0]))
+    params = ch.MetricParams(
+        cap=data.draw(st.sampled_from([10, 100, 10 ** 6])))
+    a = ch.random_subgroup(n, (p, q), seed=seed)
+    b = ch.random_subgroup(n, target, seed=seed + 1)
+    got = _gap_or_message(a, b, radius, params)
+    with mock.patch.object(metric, "_certified_sup",
+                           reference_certified_sup):
+        want = _gap_or_message(a, b, radius, params)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_caches_free_their_subgroups():
