@@ -139,12 +139,13 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     lips = np.concatenate([int_lips if qi else [], np.full(pc, cont_lip)])
     row_norms = np.linalg.norm(rows, axis=1)
     grid_eff = 0.45 * grid
+    inside = ball_radius * (1 + 1e-12) + 1e-12
     fuzz = ball_radius * (1 + 1e-12) + grid_eff
     stop = math.inf if stop_above is None else stop_above
     lo = 0.0
     evals = 0
     if probe_points is not None:  # they hold the origin
-        pts = probe_points[np.linalg.norm(probe_points, axis=1) <= fuzz]
+        pts = probe_points[np.linalg.norm(probe_points, axis=1) <= inside]
         evals += pts.shape[0]
         lo = max(lo, float(np.max(f_batch(pts))))
     half = np.concatenate([int_bounds if qi else [],
@@ -161,12 +162,13 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
         rest[pick] = False
         blo, bhi = cell_lo[pick], cell_hi[pick]
         # evaluation points; a cell centre outside the ball slides its
-        # continuous coordinates towards the origin
+        # continuous coordinates to the point of its box closest to the
+        # origin, and counts towards the incumbent only if that is inside
         mid = 0.5 * (blo + bhi)
         mid = np.where(is_int, np.floor(mid), mid)
         x_int = mid[:, :qi] @ rows[:qi]
-        far = np.linalg.norm(x_int + mid[:, qi:] @ rows[qi:], axis=1) > fuzz
         v = mid[:, qi:].copy()
+        far = np.linalg.norm(x_int + v @ rows[qi:], axis=1) > inside
         v[far] = np.clip(-(x_int[far] @ rows[qi:].T),
                          blo[far, qi:], bhi[far, qi:])
         xs = x_int + v @ rows[qi:]
@@ -179,14 +181,14 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
                 f"{n_open + stale} open cells left, incumbent "
                 f"{lo:.6g}, best open bound {ub[pick[0]]:.6g}")
         sizes = np.linalg.norm(xs, axis=1)
-        lo = float(np.max(vals[sizes <= fuzz], initial=lo))
+        lo = float(np.max(vals[sizes <= inside], initial=lo))
         hw = np.where(is_int, np.floor(0.5 * (bhi - blo + 1)),
                       0.5 * (bhi - blo))
         spatial = hw @ row_norms
         # the target contains 0, so f(x) <= |x| caps cells near the
         # origin; the ball caps everything at its radius
         cell_ub = np.minimum(np.minimum(vals + hw @ lips, ub_cap),
-                             np.minimum(sizes + spatial, fuzz))
+                             np.minimum(sizes + spatial, inside))
         # split where the value varies most, lattice coordinates winning
         # ties; once the values are resolved, split on spatial extent,
         # lattice coordinates first, so the ball membership resolves too

@@ -72,6 +72,19 @@ def brute_gap(src, dst, radius):
     return float(brute_closest(dst, brute_points_in_ball(src, radius)).max())
 
 
+def brute_gap_to(src_basis, dst, radius):
+    """Oracle for the directed gap from a lattice, given by its basis,
+    to any subgroup ``dst``: the largest distance from a point of the
+    lattice in the radius ball to ``dst``, measured by projecting off
+    ``dst.continuous_basis`` and searching its lattice part."""
+    pts = brute_points_in_ball(src_basis, radius)
+    cont = dst.continuous_basis
+    pts = pts - (pts @ cont.T) @ cont
+    if dst.discrete_rank == 0:
+        return float(np.linalg.norm(pts, axis=1).max())
+    return float(brute_closest(dst.discrete_basis, pts).max())
+
+
 def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
                             cont_rows, cont_lip, ball_radius, grid,
                             stop_above, budget, probe_points, ub_cap):
@@ -79,12 +92,19 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
     before the table of open cells replaced it: tuple cells on a heap
     keyed on (-ub, push counter), integer and continuous bounds kept
     apart, one Python loop over each batch.  The module must explore
-    the same cells in the same order and return the same value."""
+    the same cells in the same order and return the same value.
+
+    One change from that version: the probes and the cell centres count
+    towards the incumbent only inside the ball, |x| <= R(1 + 1e-12) +
+    1e-12, and a centre slides towards the origin whenever it lies
+    outside it.  The old code admitted points up to 0.45 grid outside,
+    where a lattice point can raise the gap."""
     qi = 0 if int_basis is None else int_basis.shape[0]
     pc = 0 if cont_rows is None else cont_rows.shape[0]
     cont_vlips = np.full(pc, cont_lip)
     dim = int_basis.shape[1] if qi else cont_rows.shape[1]
     grid_eff = 0.45 * grid
+    inside = ball_radius * (1 + 1e-12) + 1e-12
     fuzz = ball_radius * (1 + 1e-12) + grid_eff
     int_rows_norm = (np.linalg.norm(int_basis, axis=1)
                      if qi else np.zeros(0))
@@ -94,7 +114,7 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
     evals = 0
 
     if probe_points is not None:  # they hold the origin
-        pts = probe_points[np.linalg.norm(probe_points, axis=1) <= fuzz]
+        pts = probe_points[np.linalg.norm(probe_points, axis=1) <= inside]
         evals += pts.shape[0]
         lo = max(lo, float(np.max(f_batch(pts))))
     if stop_above is not None and lo >= stop_above:
@@ -125,7 +145,7 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
             x = ((clo + chi) // 2) @ int_basis if qi else np.zeros(dim)
             if pc:
                 v = 0.5 * (vlo + vhi)
-                if np.linalg.norm(x + v @ cont_rows) > fuzz:
+                if np.linalg.norm(x + v @ cont_rows) > inside:
                     v = np.clip(-(x @ cont_rows.T), vlo, vhi)
                 x = x + v @ cont_rows
             xs[i] = x
@@ -138,7 +158,7 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
                 f"{len(heap) + len(batch)} open cells left, incumbent "
                 f"{lo:.6g}, best open bound {top_ub:.6g}")
         sizes = np.linalg.norm(xs, axis=1)
-        lo = float(np.max(vals[sizes <= fuzz], initial=lo))
+        lo = float(np.max(vals[sizes <= inside], initial=lo))
         if stop_above is not None and lo >= stop_above:
             return lo
         for i, (clo, chi, vlo, vhi) in enumerate(batch):
@@ -154,7 +174,7 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
                 spatial += float(hw_cont @ cont_rows_norm)
             # the target contains 0, so f(x) <= |x| caps cells near the
             # origin; the ball caps everything at its radius
-            reach_cap = min(sizes[i] + spatial, fuzz)
+            reach_cap = min(sizes[i] + spatial, inside)
             ub = min(float(vals[i]) + value_radius, ub_cap, reach_cap)
             if ub <= lo + grid_eff:
                 continue

@@ -12,7 +12,8 @@ import chabauty as ch
 from chabauty import _lattice, invariants, metric, subgroup
 from chabauty.errors import EnumerationBudgetExceeded, InvalidPair, Unstable
 
-from conftest import brute_gap, random_group, reference_certified_sup
+from conftest import (brute_gap, brute_gap_to, random_group,
+                      reference_certified_sup)
 
 
 def line_lattice(alpha):
@@ -209,6 +210,38 @@ def test_budget_error_states_its_numbers():
     for part in ("evaluations", "open cells left", "incumbent",
                  "best open bound"):
         assert part in message
+
+
+@pytest.mark.parametrize("n, source, target", [
+    (2, (0, 2), t) for t in ((1, 0), (0, 1), (1, 1), (0, 0))] + [
+    (3, s, t) for s in ((0, 3), (0, 2))
+    for t in ((1, 1), (0, 2), (2, 0), (1, 0), (0, 1))])
+def test_branch_and_bound_matches_brute_oracle(n, source, target):
+    """Lattice sources against targets of lower type, where the branch
+    and bound decides the gap: within [oracle - grid, oracle + grid/2].
+    Lattice points just outside the ball must not count."""
+    grid = metric.DEFAULT_PARAMS.grid
+    rng = np.random.default_rng([n, *source, *target])
+    for _ in range(2):
+        a = random_group(rng, n, source)
+        b = random_group(rng, n, target)
+        for radius in (1.0, 2.0, 4.0, 8.0):
+            oracle = brute_gap_to(a.discrete_basis, b, radius)
+            got = metric._directed_gap(a, b, radius, metric.DEFAULT_PARAMS,
+                                       None)
+            assert oracle - grid <= got <= oracle + grid / 2
+
+
+def test_lattice_point_outside_the_ball_does_not_count():
+    # (0.1, 1) has norm 1.005: outside the unit ball, and 1 from the
+    # line; the lattice points inside lie on the line, and the gap is
+    # that of the line from the lattice, at (0.5, 0)
+    a = ch.make_subgroup(2, None, [(1.0, 0.0), (0.1, 1.0)])
+    b = ch.make_subgroup(2, [(1.0, 0.0)])
+    assert brute_gap_to(a.discrete_basis, b, 1.0) == 0.0
+    assert metric._directed_gap(a, b, 1.0, metric.DEFAULT_PARAMS,
+                                None) == 0.0
+    assert ch.hausdorff_gap(a, b, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def _gap_or_message(a, b, radius, params):
