@@ -1,7 +1,9 @@
 """Command line front end: JSON in, JSON (or CSV for the atlas) out.
 
 Exit codes: 0 on success, 1 on domain errors (a machine-readable error
-object is printed), 2 on usage errors.
+object is printed), 2 on usage errors.  An argument outside its range,
+such as a scale delta outside (0, 1), is a domain error: the library
+raises ValueError for it, and its kind is reported as such.
 """
 from __future__ import annotations
 
@@ -268,7 +270,7 @@ def run(argv) -> int:
         return 2
     try:
         text = _run_command(ns, _load_params(ns.params))
-    except (ChabautyError, OSError, json.JSONDecodeError) as exc:
+    except (ChabautyError, OSError, ValueError) as exc:
         error = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
         _write(ns.out, dumps(error) + "\n")
         return 1

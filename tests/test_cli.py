@@ -173,6 +173,24 @@ def test_bad_params_file_is_a_domain_error(tmp_path, capsys, raw, named):
     assert named in error["message"]
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["decompose", str(FIXTURES / "z3.json"), "--base-type", "0", "3",
+      "--delta", "2"], "scale"),
+    (["atlas", "--re-steps", "-1"], "-1"),
+    (["limit", "--template", "shrink", "--n", "2", "--source", "0", "2",
+      "--delta", "0.1", "--t", "1", "2"], "three"),
+    (["limit", "--template", "shrink", "--n", "2", "--source", "0", "2",
+      "--delta", "5", "--t", "1", "2", "3"], "scale"),
+    (["suspend", str(FIXTURES / "hexagonal.json"), "--t", "-1"], "cone"),
+])
+def test_out_of_range_argument_is_a_domain_error(capsys, argv, named):
+    code, out = invoke(argv, capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "ValueError"
+    assert named in error["message"]
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["info", "x.json", "--format", "csv"]) == 2
