@@ -17,7 +17,10 @@ bound: the group structure gives per-direction Lipschitz bounds
 other)), and the search stops when the best undecided cell cannot beat
 the incumbent by more than the configured grid resolution, unless a
 dense sample of the source comes within the grid of mu, which bounds
-every gap towards a full-rank target.  The returned value g obeys
+every gap towards a full-rank target.  The open cells are the rows of
+one table, lattice coefficients and continuous coordinates alike, and
+numpy bounds and splits 256 of them at a time, highest bound first;
+only points inside the ball count.  The returned value g obeys
 g_true - grid <= g <= g_true + grid/2, the same contract as grid
 sampling of the continuous directions.
 """
@@ -130,7 +133,10 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     were made.  Each round drops the cells that cannot beat the
     incumbent by more than the grid, evaluates the 256 highest bounds
     (ties to the earliest row) at their centres, and appends the two
-    halves of each cell still open, left then right.
+    halves of each cell still open, left then right.  Only points inside
+    the ball count towards the incumbent: a lattice point just outside
+    it can lie far from the target.  Since f(x) <= |x|, no cell's bound
+    exceeds the ball radius.
     """
     qi = 0 if int_basis is None else int_basis.shape[0]
     pc = 0 if cont_rows is None else cont_rows.shape[0]
@@ -151,7 +157,8 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     half = np.concatenate([int_bounds if qi else [],
                            np.full(pc, float(ball_radius))])
     cell_lo, cell_hi, ub = -half[None], half[None], np.array([math.inf])
-    stale = 0  # dropped cells a heap would still hold, for the budget error
+    stale = 0  # dropped since a round last took every open cell; the
+    # budget error counts them as open, as a heap keeps them until popped
     while lo < stop:
         rest = ub > lo + grid_eff  # the open cells
         n_open = int(np.count_nonzero(rest))
