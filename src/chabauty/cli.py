@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 on domain errors (a machine-readable error
 object is printed), 2 on usage errors.  An argument outside its range,
 such as a scale delta outside (0, 1), is a domain error: the library
-raises ValueError for it, and its kind is reported as such.
+raises ValueError for it, and the error object names that kind.
 """
 from __future__ import annotations
 

@@ -94,11 +94,13 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
     apart, one Python loop over each batch.  The module must explore
     the same cells in the same order and return the same value.
 
-    One change from that version: the probes and the cell centres count
-    towards the incumbent only inside the ball, |x| <= R(1 + 1e-12) +
-    1e-12, and a centre slides towards the origin whenever it lies
-    outside it.  The old code admitted points up to 0.45 grid outside,
-    where a lattice point can raise the gap."""
+    Changed from that version, as in the module: the probes and the
+    cell centres count towards the incumbent only inside the ball,
+    |x| <= R(1 + 1e-12) + 1e-12, a centre slides towards the origin
+    whenever it lies outside it, and a cell's reach bound is capped at
+    that radius instead of 0.45 grid beyond it.  The old code admitted
+    points up to 0.45 grid outside, where a lattice point can raise the
+    gap."""
     qi = 0 if int_basis is None else int_basis.shape[0]
     pc = 0 if cont_rows is None else cont_rows.shape[0]
     cont_vlips = np.full(pc, cont_lip)
