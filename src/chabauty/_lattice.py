@@ -401,14 +401,10 @@ class LatticeSolver:
         self._cover = None
         if self.rank == 0:
             self.basis = b.reshape(0, self.dim)
-            self.covering_bound = 0.0
             self._cover = (0.0, np.zeros((1, self.dim)))
             return
         self.basis = lll_reduce(b)
         self._bstar, self._mu = _gso(self.basis)
-        # nearest-plane output is within this distance of the target
-        self.covering_bound = 0.5 * float(
-            np.sqrt(np.sum(np.linalg.norm(self._bstar, axis=1) ** 2)))
         self._bstar_sq = np.einsum("ij,ij->i", self._bstar, self._bstar)
 
     def nearest_plane(self, targets: np.ndarray) -> np.ndarray:

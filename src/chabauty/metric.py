@@ -10,24 +10,25 @@ the gaps over dyadic radii with summable weights.
 The gap is a supremum of a distance function over the trace of a
 subgroup in a ball.  From the whole space it is exact: min(R, mu), mu
 the covering radius of the target's lattice part, or R when the target
-is not of full rank.  Otherwise sampling the trace densely is hopeless
-at radius 64, so the supremum is computed by certified branch and
-bound: the group structure gives per-direction Lipschitz bounds
-(stepping by a basis vector b changes the distance by at most dist(b,
-other)), and the search stops when the best undecided cell cannot beat
-the incumbent by more than the configured grid resolution, unless a
-dense sample of the source comes within the grid of mu, which bounds
-every gap towards a full-rank target.  The open cells are the rows of
-one table, lattice coefficients and continuous coordinates alike, and
-numpy bounds and splits 256 of them at a time, highest bound first;
-only points inside the ball count.  The returned value g obeys
-g_true - grid <= g <= g_true + grid/2, the same contract as grid
-sampling of the continuous directions.
+is not of full rank.  From a lattice whose ball holds at most 65,536
+points towards a full-rank target, it is the exact maximum over those
+points.  Otherwise sampling the trace densely is hopeless at radius 64,
+so the supremum is computed by certified branch and bound: the group
+structure gives per-direction Lipschitz bounds (stepping by a basis
+vector b changes the distance by at most dist(b, other)), and the
+search stops when the best undecided cell cannot beat the incumbent by
+more than the configured grid resolution.  Towards a full-rank target
+no cell's bound exceeds mu, which bounds every distance to it, so the
+search ends as soon as the incumbent comes within the grid of mu.  The
+open cells are the rows of one table, lattice coefficients and
+continuous coordinates alike, and numpy bounds and splits 256 of them
+at a time, highest bound first; only points inside the ball count.
+The returned value g obeys g_true - grid <= g <= g_true + grid/2, the
+same contract as grid sampling of the continuous directions.
 """
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -86,9 +87,6 @@ class _TargetProfile:
         self.cont = group.continuous_basis
         self.has_cont = self.cont.shape[0] > 0
         self.solver = _solver(group) if group.discrete_rank else None
-        # nearest-plane output bounds every distance to a full-rank target
-        self.covering = (self.solver.covering_bound
-                         if group.rank == group.ambient_dim else math.inf)
 
     def dist(self, points: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(points)
@@ -122,9 +120,11 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
 
     ``int_lips`` and ``cont_lip`` (one for every continuous coordinate)
     bound the change of f per unit step in a coordinate; the spatial
-    step sizes are the row norms.  Returns an attained value lo such
-    that sup <= lo + grid (unless ``stop_above`` fired first, in which
-    case lo >= stop_above).
+    step sizes are the row norms.  ``ub_cap`` bounds f everywhere: the
+    covering radius mu of a full-rank target's lattice part, or inf for
+    other targets and for those whose Voronoi cell is not walked.
+    Returns an attained value lo such that sup <= lo + grid (unless
+    ``stop_above`` fired first, in which case lo >= stop_above).
 
     The open cells are the rows of one table: bounds ``cell_lo`` and
     ``cell_hi`` with one column per coordinate, the first ``qi`` of them
@@ -223,106 +223,26 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     return lo
 
 
-_enum_cache: "weakref.WeakKeyDictionary[ClosedSubgroup, tuple]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _cached_lattice_points(src: ClosedSubgroup, radius: float, cap: int):
-    """Lattice points of the source inside the radius ball, in search
-    order, reusing the largest search seen so far for this subgroup."""
-    entry = _enum_cache.get(src)
-    if entry is None or entry[0] < radius:
-        pts, _, sq = _lattice.search_ball(src.discrete_basis, radius, cap=cap)
-        entry = (radius, pts, np.sqrt(sq))
-        _enum_cache[src] = entry
-    _, pts, sizes = entry
-    return pts[sizes <= radius * (1 + 1e-12)]
-
-
-def _dense_gap(src: ClosedSubgroup, dst: ClosedSubgroup,
-               prof: _TargetProfile, radius: float, nu: np.ndarray,
-               params: MetricParams, stop_above):
-    """Directed gap from a source with a lattice part against a
-    full-rank target via dense sampling.
-
-    The sup of dist(., dst) over the whole space is the covering radius
-    mu of the target's lattice part, an upper bound on the gap.  The
-    source trace usually samples the target's fundamental cell finely
-    enough that some source point gets within the grid resolution of mu,
-    which certifies the answer without any search.  ``nu`` holds the
-    dual-basis norms of the source lattice.  Returns None when the
-    certificate fails.
-    """
-    qs, ps = src.discrete_rank, src.continuous_dim
+def _exact_gap(src: ClosedSubgroup, prof: _TargetProfile, radius: float,
+               nu: np.ndarray, params: MetricParams):
+    """Directed gap from a lattice source against a full-rank target,
+    exactly: the largest distance to the target over the source's points
+    in the ball, when the ball holds at most 65,536 of them.  ``nu``
+    holds the dual-basis norms of the source lattice, which bound the
+    search box.  Returns None when the ball holds more points."""
     box = float(np.prod(2 * np.floor(radius * nu + 1e-9) + 1))
-    budget = 2 * params.cap if ps == 0 else params.cap // 10
-    r_eff = radius
-    if box > budget:
-        r_eff = radius * (budget / box) ** (1.0 / qs)
+    if box > 2 * params.cap:
+        return None
     try:
-        pts = _cached_lattice_points(
-            src, min(radius, max(r_eff, 1.0)), cap=8 * params.cap)
+        pts, _, sq = _lattice.search_ball(src.discrete_basis, radius,
+                                          cap=8 * params.cap)
     except EnumerationBudgetExceeded:
         return None
-    exact = ps == 0 and r_eff >= radius and pts.shape[0] <= 65_536
-    if ps:
-        # overlay a coarse grid of the continuous directions
-        vcount = max(1, int(2 * params.cap // max(pts.shape[0], 1)))
-        per_dim = max(2, int(vcount ** (1.0 / ps)))
-        per_dim = min(per_dim, int(2 * radius / params.grid) + 2, 65)
-        if per_dim < 5:
-            return None
-        axes = [np.linspace(-radius, radius, per_dim)] * ps
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vgrid = np.stack([g.reshape(-1) for g in mesh], axis=1)
-        shifts = vgrid @ src.continuous_basis
-        samples = (pts[:, None, :] + shifts[None, :, :]).reshape(
-            -1, src.ambient_dim)
-        samples = samples[
-            np.linalg.norm(samples, axis=1) <= radius * (1 + 1e-12)]
-    else:
-        samples = pts  # already inside: the cache filtered them by norm
-    if samples.shape[0] == 0:
-        samples = np.zeros((1, src.ambient_dim))
-    if exact:
-        lo = 0.0
-        for start in range(0, samples.shape[0], 20_000):
-            lo = max(lo, float(np.max(
-                prof.dist(samples[start:start + 20_000]))))
-        return lo
-    hi, vertices = prof.solver.covering_radius()
-    targets = vertices[:8]
-    # hash the samples onto the target cell and pick, per target (a
-    # farthest vertex of its Voronoi cell), the closest reduced image
-    reduced = samples.copy()
-    if prof.has_cont:
-        reduced = reduced - (reduced @ prof.cont.T) @ prof.cont
-    coeffs = prof.solver.nearest_plane(reduced)
-    reduced = reduced - coeffs @ prof.solver.basis
-    cand_idx = set()
-    chunk = 500_000
-    best_d = np.full(targets.shape[0], np.inf)
-    best_i = np.zeros(targets.shape[0], dtype=np.int64)
-    for start in range(0, reduced.shape[0], chunk):
-        block = reduced[start:start + chunk]
-        for t in range(targets.shape[0]):
-            d2 = np.einsum("ij,ij->i", block - targets[t],
-                           block - targets[t])
-            j = int(np.argmin(d2))
-            if d2[j] < best_d[t]:
-                best_d[t] = d2[j]
-                best_i[t] = start + j
-    cand_idx.update(int(i) for i in best_i)
-    # a spread of raw samples as insurance
-    stride = max(1, samples.shape[0] // 256)
-    cand_idx.update(range(0, samples.shape[0], stride))
-    cand = samples[sorted(cand_idx)]
-    lo = float(np.max(prof.dist(cand)))
-    if stop_above is not None and lo >= stop_above:
-        return lo
-    if hi - lo <= 0.999 * params.grid:
-        return lo
-    return None
+    pts = pts[np.sqrt(sq) <= radius * (1 + 1e-12)]
+    if pts.shape[0] > 65_536:
+        return None
+    return max(float(np.max(prof.dist(pts[start:start + 20_000])))
+               for start in range(0, pts.shape[0], 20_000))
 
 
 def _lattice_probes(basis: np.ndarray, radius: float) -> np.ndarray:
@@ -390,14 +310,20 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
         hi0 = float(int_bounds @ int_lips) + ps * radius * sigma
         if hi0 <= lo0 + 0.45 * params.grid:
             return lo0
-    if prof.covering < math.inf and qs >= 1:
-        value = _dense_gap(src, dst, prof, radius, nu, params, stop_above)
-        if value is not None:
-            return value
+    ub_cap = math.inf
+    if dst.rank == n:
+        if ps == 0:
+            value = _exact_gap(src, prof, radius, nu, params)
+            if value is not None:
+                return value
+        try:  # the covering radius bounds every distance to the target
+            ub_cap = prof.solver.covering_radius()[0]
+        except EnumerationBudgetExceeded:
+            pass  # the Voronoi walk refuses the target's lattice part
     return _certified_sup(
         prof.dist, int_basis, int_lips, int_bounds,
         src.continuous_basis if ps else None, sigma,
-        radius, params.grid, stop_above, params.cap, probes, prof.covering)
+        radius, params.grid, stop_above, params.cap, probes, ub_cap)
 
 
 def hausdorff_gap(group_a: ClosedSubgroup, group_b: ClosedSubgroup,

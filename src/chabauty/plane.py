@@ -252,7 +252,14 @@ def cross_section(u: complex, tol: float = 1e-9) -> ClosedSubgroup:
 
 def atlas_rows(n_re: int = 41, n_im: int = 41, im_max: float = 3.0):
     """Grid of fundamental-domain points with their stabilizer orders,
-    for external plotting: rows (Re z, Im z, order)."""
+    for external plotting: rows (Re z, Im z, order).  Raises ValueError
+    unless ``n_re`` and ``n_im`` are nonnegative and ``im_max`` is finite
+    and at least 1."""
+    for name, steps in (("n_re", n_re), ("n_im", n_im)):
+        if steps < 0:
+            raise ValueError(f"{name} must be nonnegative, got {steps}")
+    if not 1.0 <= im_max < math.inf:
+        raise ValueError(f"im_max must be finite and at least 1, got {im_max}")
     rows = []
     for x in np.linspace(-0.5, 0.5, n_re):
         y_min = math.sqrt(max(0.0, 1.0 - x * x))

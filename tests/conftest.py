@@ -78,11 +78,45 @@ def brute_gap_to(src_basis, dst, radius):
     lattice in the radius ball to ``dst``, measured by projecting off
     ``dst.continuous_basis`` and searching its lattice part."""
     pts = brute_points_in_ball(src_basis, radius)
+    return float(brute_distance_to(dst, pts).max())
+
+
+def brute_distance_to(dst, pts):
+    """Distances from the rows of ``pts`` to the subgroup ``dst``:
+    project off ``dst.continuous_basis``, then search its lattice part."""
     cont = dst.continuous_basis
     pts = pts - (pts @ cont.T) @ cont
     if dst.discrete_rank == 0:
-        return float(np.linalg.norm(pts, axis=1).max())
-    return float(brute_closest(dst.discrete_basis, pts).max())
+        return np.linalg.norm(pts, axis=1)
+    return brute_closest(dst.discrete_basis, pts)
+
+
+def brute_gap_mesh(src, dst, radius, h):
+    """Oracle for the directed gap from any subgroup ``src`` to any
+    ``dst``, from below: the largest distance to ``dst`` over the lattice
+    points l of ``src`` in the ball, each with a mesh of step h along the
+    p continuous directions of ``src``.  The lattice part is orthogonal
+    to those directions, so the trace over l is a p-ball of radius
+    sqrt(R^2 - |l|^2) around l; mesh points outside it are pulled
+    radially onto it.  That pull moves no two points apart, so every
+    point of the trace lies within h sqrt(p) / 2 of a mesh point, and
+    the oracle lies at most that far below the true gap."""
+    lattice = brute_points_in_ball(src.discrete_basis, radius)
+    cont = src.continuous_basis
+    p = cont.shape[0]
+    k = int(np.ceil(radius / h)) + 1
+    mesh = np.meshgrid(*[h * np.arange(-k, k + 1)] * p, indexing="ij")
+    steps = np.stack([m.reshape(-1) for m in mesh], axis=1) if p \
+        else np.zeros((1, 0))
+    size = np.linalg.norm(steps, axis=1)
+    pts = []
+    for x in lattice:
+        rho = np.sqrt(max(radius * radius - x @ x, 0.0))
+        # only these can be the nearest mesh point of a point of the trace
+        near = size <= rho + h * np.sqrt(p) / 2
+        pull = np.minimum(1.0, rho / np.maximum(size[near], 1e-300))
+        pts.append(x + (steps[near] * pull[:, None]) @ cont)
+    return float(brute_distance_to(dst, np.vstack(pts)).max())
 
 
 def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,

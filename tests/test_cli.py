@@ -182,6 +182,7 @@ def test_bad_params_file_is_a_domain_error(tmp_path, capsys, raw, named):
     (["limit", "--template", "shrink", "--n", "2", "--source", "0", "2",
       "--delta", "5", "--t", "1", "2", "3"], "scale"),
     (["suspend", str(FIXTURES / "hexagonal.json"), "--t", "-1"], "cone"),
+    (["atlas", "--im-max", "-3"], "im_max"),
 ])
 def test_out_of_range_argument_is_a_domain_error(capsys, argv, named):
     code, out = invoke(argv, capsys)

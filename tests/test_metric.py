@@ -12,8 +12,8 @@ import chabauty as ch
 from chabauty import _lattice, invariants, metric, subgroup
 from chabauty.errors import EnumerationBudgetExceeded, InvalidPair, Unstable
 
-from conftest import (brute_gap, brute_gap_to, random_group,
-                      reference_certified_sup)
+from conftest import (brute_gap, brute_gap_mesh, brute_gap_to,
+                      random_group, reference_certified_sup)
 
 
 def line_lattice(alpha):
@@ -191,8 +191,8 @@ def test_dense_gap_matches_brute_oracle(rng):
             b = random_group(rng, n, (0, n))
         want = brute_gap(a.discrete_basis, b.discrete_basis, radius)
         nu = _lattice.dual_coefficient_norms(a.discrete_basis)
-        got = metric._dense_gap(a, b, metric._TargetProfile(b), radius, nu,
-                                params, None)
+        got = metric._exact_gap(a, metric._TargetProfile(b), radius, nu,
+                                params)
         assert got == pytest.approx(want, abs=1e-12)
         oracle = max(want, brute_gap(b.discrete_basis, a.discrete_basis,
                                      radius))
@@ -230,6 +230,46 @@ def test_branch_and_bound_matches_brute_oracle(n, source, target):
             got = metric._directed_gap(a, b, radius, metric.DEFAULT_PARAMS,
                                        None)
             assert oracle - grid <= got <= oracle + grid / 2
+
+
+@pytest.mark.parametrize("n, source", [(2, (1, 1)), (3, (1, 1)),
+                                       (3, (1, 2))])
+def test_continuous_source_matches_mesh_oracle(n, source):
+    """Sources with continuous directions against full-rank targets,
+    where the branch and bound, capped at the covering radius, decides
+    the gap: within the grid of the mesh oracle, which lies at most
+    h sqrt(p) / 2 below the true gap."""
+    grid = metric.DEFAULT_PARAMS.grid
+    h = 0.05
+    slack = h * np.sqrt(source[0]) / 2
+    rng = np.random.default_rng([n, *source])
+    for target in ch.all_types(n):
+        if sum(target) < n or target[1] == 0:
+            continue
+        a = random_group(rng, n, source)
+        b = random_group(rng, n, target)
+        for radius in (1.0, 2.0, 4.0):
+            oracle = brute_gap_mesh(a, b, radius, h)
+            got = metric._directed_gap(a, b, radius, metric.DEFAULT_PARAMS,
+                                       None)
+            assert oracle - grid <= got <= oracle + slack + grid / 2
+
+
+def test_rank_7_target_without_a_covering_radius():
+    """The Voronoi walk refuses this rank-7 target, so the branch and
+    bound runs uncapped.  The (1, 1) source holds the (1, 0) source of
+    the same seed, so its gap towards the target is no smaller."""
+    params = metric.DEFAULT_PARAMS
+    b = ch.random_subgroup(7, (0, 7), seed=4)
+    with pytest.raises(EnumerationBudgetExceeded):
+        subgroup._solver(b).covering_radius()
+    line = ch.random_subgroup(7, (1, 0), seed=3)
+    strip = ch.random_subgroup(7, (1, 1), seed=3)
+    assert np.array_equal(line.continuous_basis, strip.continuous_basis)
+    ch.hausdorff_gap(line, b, 1.0)
+    ch.hausdorff_gap(strip, b, 1.0)
+    assert metric._directed_gap(strip, b, 1.0, params, None) >= \
+        metric._directed_gap(line, b, 1.0, params, None) - params.grid
 
 
 def test_lattice_point_outside_the_ball_does_not_count():
@@ -274,8 +314,7 @@ def test_branch_and_bound_matches_the_reference(seed, n, data):
 
 
 def test_caches_free_their_subgroups():
-    caches = (subgroup._solvers, metric._enum_cache,
-              invariants._generation_memo)
+    caches = (subgroup._solvers, invariants._generation_memo)
     gc.collect()
     before = [len(c) for c in caches]
     a = ch.make_subgroup(2, None, [(1.0, 0.0), (0.3, 1.1)])

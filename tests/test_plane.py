@@ -273,6 +273,22 @@ def test_atlas_rows():
     assert any(r[2] == 2 for r in rows)  # the square lattice sits at (0, 1)
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    ({"n_re": -1}, "n_re"), ({"n_im": -2}, "n_im"),
+    ({"im_max": -3.0}, "im_max"), ({"im_max": 0.5}, "im_max"),
+    ({"im_max": math.inf}, "im_max"), ({"im_max": math.nan}, "im_max")])
+def test_atlas_rows_rejects_bad_arguments(kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        ch.atlas_rows(**kwargs)
+
+
+def test_atlas_rows_edge_arguments():
+    assert ch.atlas_rows(n_re=0) == []
+    rows = ch.atlas_rows(n_re=3, n_im=2, im_max=1.0)
+    assert rows and all(abs(complex(x, y)) >= 1.0 - 1e-12 and y <= 1.0
+                        for x, y, _ in rows)
+
+
 def test_atlas_orders_match_row_by_row_invariance():
     def invariant(group, angle):
         rot = rotation2(angle)
