@@ -456,30 +456,40 @@ class LatticeSolver:
         makes every vertex simple, and solved again on the exact ones, so
         mu carries no perturbation.  Raises EnumerationBudgetExceeded when
         the walk is over budget (a generic rank-7 cell has 8! vertices),
-        and at once from rank 9 on.
+        and at once from rank 9 on; the refusal is kept too, and later
+        calls raise it again without walking.
         """
+        if isinstance(self._cover, EnumerationBudgetExceeded):
+            raise EnumerationBudgetExceeded(*self._cover.args)
         if self._cover is None:
-            q = self.rank
-            # one level holding the 2^(q-1) vertex pairs of the cube, the
-            # cell of Z^q; checked before the 2^q - 1 closest queries
-            tests = 2 ** (q - 1) * q * (2 ** (q + 1) - 2)
-            if tests > _WALK_BUDGET:
-                raise EnumerationBudgetExceeded(
-                    f"Voronoi cell of a rank-{q} lattice: {2 ** q} vertices "
-                    f"would take {tests} ratio tests, over the budget of "
-                    f"{_WALK_BUDGET}")
-            scale = np.sqrt(self._bstar_sq)
-            classes = (np.arange(1, 2 ** q)[:, None] >> np.arange(q)) & 1
-            near = self.closest(0.5 * classes @ self.basis)[1]
-            rel = (classes - 2 * near) @ ((self._mu + np.eye(q)) * scale)
-            normals = np.stack([rel, -rel], axis=1).reshape(-1, q)
-            rhs = np.repeat(0.5 * np.einsum("ij,ij->i", rel, rel), 2)
-            u = np.random.default_rng(_JITTER_SEED).random(len(rel))
-            tight = _voronoi_walk(normals, rhs * np.repeat(1 + 1e-10 * u, 2))
-            verts = np.linalg.solve(normals[tight],
-                                    rhs[tight][..., None])[..., 0]
-            sizes = np.linalg.norm(verts, axis=1)
-            order = np.argsort(-sizes, kind="stable")
-            self._cover = (float(sizes[order[0]]),
-                           verts[order] @ (self._bstar / scale[:, None]))
+            try:
+                self._cover = self._voronoi_cell()
+            except EnumerationBudgetExceeded as exc:
+                self._cover = EnumerationBudgetExceeded(*exc.args)
+                raise
         return self._cover
+
+    def _voronoi_cell(self):
+        q = self.rank
+        # one level holding the 2^(q-1) vertex pairs of the cube, the
+        # cell of Z^q; checked before the 2^q - 1 closest queries
+        tests = 2 ** (q - 1) * q * (2 ** (q + 1) - 2)
+        if tests > _WALK_BUDGET:
+            raise EnumerationBudgetExceeded(
+                f"Voronoi cell of a rank-{q} lattice: {2 ** q} vertices "
+                f"would take {tests} ratio tests, over the budget of "
+                f"{_WALK_BUDGET}")
+        scale = np.sqrt(self._bstar_sq)
+        classes = (np.arange(1, 2 ** q)[:, None] >> np.arange(q)) & 1
+        near = self.closest(0.5 * classes @ self.basis)[1]
+        rel = (classes - 2 * near) @ ((self._mu + np.eye(q)) * scale)
+        normals = np.stack([rel, -rel], axis=1).reshape(-1, q)
+        rhs = np.repeat(0.5 * np.einsum("ij,ij->i", rel, rel), 2)
+        u = np.random.default_rng(_JITTER_SEED).random(len(rel))
+        tight = _voronoi_walk(normals, rhs * np.repeat(1 + 1e-10 * u, 2))
+        verts = np.linalg.solve(normals[tight],
+                                rhs[tight][..., None])[..., 0]
+        sizes = np.linalg.norm(verts, axis=1)
+        order = np.argsort(-sizes, kind="stable")
+        return (float(sizes[order[0]]),
+                verts[order] @ (self._bstar / scale[:, None]))

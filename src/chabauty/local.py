@@ -22,9 +22,8 @@ from .errors import (BasePointNotAligned, DimensionMismatch, FlagsTooFar,
                      NotDecomposable, NotInNeighborhood, OutOfRange)
 from .invariants import delta_type, generation_data, norms
 from .subgroup import (ClosedSubgroup, DEFAULT_TOL, GroupType, Tolerance,
-                       make_subgroup, nearest_point,
-                       points_in_ball_with_coefficients, scale,
-                       standard_subgroup, type_of)
+                       make_subgroup, nearest_point, scale, standard_subgroup,
+                       type_of)
 
 # ---------------------------------------------------------------------------
 # flags and the aligning rotation
@@ -150,11 +149,15 @@ def linear_decomposition(group: ClosedSubgroup, delta: float,
 class LocalDecomposition:
     """Data reconstructing a subgroup near an axis-aligned base point.
 
-    ``fine_part`` lives in the fine block (ambient dimension p),
-    ``medium_basis`` rows are the distinguished basis close to the
-    identity, ``coarse_basis`` rows generate the coarse lattice, and
-    the offset arrays are the shortest coset representatives gluing
-    medium and coarse generators back into the full group.
+    ``fine_part`` is the whole subgroup inside the fine block (ambient
+    dimension p); its lattice comes from the integer relations of the
+    medium step, since the elements below delta may generate only a
+    sublattice of finite index.  ``medium_basis`` rows are the
+    distinguished basis close to the identity and ``coarse_basis`` rows
+    generate the coarse lattice.  The offset arrays glue medium and
+    coarse generators back into the full group, each a shortest coset
+    representative: modulo the fine part for the fine offsets, modulo
+    the medium lattice for ``coarse_offset_medium``.
     """
 
     fine_part: ClosedSubgroup
@@ -209,7 +212,8 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
 
     Raises NotInNeighborhood naming the first failing membership
     condition: scale decomposability, matching scale type, flag
-    closeness, distinguished basis, or the fine/coarse norm budget.
+    closeness, the coarse, medium and fine ranks, the fine/coarse norm
+    budget, or the distinguished basis.
     """
     if group.ambient_dim != base.ambient_dim:
         raise DimensionMismatch("group and base live in different spaces")
@@ -236,26 +240,7 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
     q0 = group.discrete_rank
     p0 = group.continuous_dim
 
-    # fine block subgroup
-    vals = norms(group, tol.rank_tol)
-    finite = vals[np.isfinite(vals) & (vals > 0)]
-    small = finite[finite < delta]
-    if small.size:
-        pts, _ = points_in_ball_with_coefficients(
-            group, float(small.max()) * (1 + 1e-12))
-        pts = pts[np.linalg.norm(pts, axis=1) > tol.rank_tol]
-        small_rows, _, _ = _lattice.basis_from_generators(
-            pts @ tau.T, zero_tol=1e-9)
-    else:
-        small_rows = np.zeros((0, n))
-    if small_rows.shape[0] and np.max(np.abs(small_rows[:, p:]),
-                                      initial=0.0) > 1e-8:
-        raise InconsistentData("fine lattice escapes the fine block")
-    fine_part = make_subgroup(p, cont_rot[:, :p], small_rows[:, :p], tol)
-    if fine_part.rank != p:
-        raise NotInNeighborhood("fine block is not of maximal rank")
-
-    # coarse block lattice and the kernel generating the medium data
+    # coarse block lattice and the kernel, the lattice in the other blocks
     d3 = n - p - q
     if d3 > 0 and q0 > 0:
         a3 = disc_rot[:, p + q:]
@@ -270,6 +255,25 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
         raise NotInNeighborhood("coarse lattice rank mismatch")
     if kernel.shape[0] != (p - p0) + q:
         raise NotInNeighborhood("medium and fine ranks do not split")
+    s_rows = kernel @ disc_rot if kernel.shape[0] else np.zeros((0, n))
+    if s_rows.shape[0] and np.max(np.abs(s_rows[:, p + q:]),
+                                  initial=0.0) > 1e-6:
+        raise InconsistentData("kernel rows leak into the coarse block")
+
+    # medium lattice; its relations generate the fine lattice
+    fine_rows = s_rows
+    if q:
+        med_rows, med_coeff, relations = _lattice.basis_from_generators(
+            s_rows[:, p:p + q], zero_tol=1e-9)
+        if med_rows.shape[0] != q:
+            raise NotInNeighborhood("medium lattice rank mismatch")
+        fine_rows = relations @ s_rows
+    if fine_rows.shape[0] and np.max(np.abs(fine_rows[:, p:]),
+                                     initial=0.0) > 1e-8:
+        raise InconsistentData("fine lattice escapes the fine block")
+    fine_part = make_subgroup(p, cont_rot[:, :p], fine_rows[:, :p], tol)
+    if fine_part.rank != p:
+        raise NotInNeighborhood("fine block is not of maximal rank")
 
     np_fine = float(norms(fine_part, tol.rank_tol)[p - 1]) if p else 0.0
     n1_coarse = _shortest_vector(coarse_rows)
@@ -278,49 +282,31 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
         raise NotInNeighborhood(
             f"fine/coarse norm budget {budget:.6g} is not below {delta}")
 
-    # medium lattice with its distinguished basis
-    s_rows = kernel @ disc_rot if kernel.shape[0] else np.zeros((0, n))
-    if s_rows.shape[0] and np.max(np.abs(s_rows[:, p + q:]),
-                                  initial=0.0) > 1e-6:
-        raise InconsistentData("kernel rows leak into the coarse block")
+    # distinguished medium basis, in the solver's coordinates lifted once
     if q:
-        m2 = s_rows[:, p:p + q]
-        med_rows, med_coeff, _ = _lattice.basis_from_generators(
-            m2, zero_tol=1e-9)
-        if med_rows.shape[0] != q:
-            raise NotInNeighborhood("medium lattice rank mismatch")
-        s_sel = med_coeff @ s_rows
         solver = _lattice.LatticeSolver(med_rows)
+        lift = _integer_coords(solver.basis, med_rows) @ (med_coeff @ s_rows)
         _, cvp_coeff = solver.closest(np.eye(q))
-        v_rows = cvp_coeff @ solver.basis
-        if np.max(np.linalg.norm(v_rows - np.eye(q), axis=1)) >= delta:
+        medium_basis = cvp_coeff @ solver.basis
+        if np.max(np.linalg.norm(medium_basis - np.eye(q), axis=1)) >= delta:
             raise NotInNeighborhood(
                 "no distinguished basis within delta of the identity")
-        pre_coords = _integer_coords(v_rows, med_rows)
-        gamma_med = pre_coords @ s_sel  # full preimages of the v rows
-        resid = m2 @ np.linalg.inv(v_rows)
-        if np.max(np.abs(resid - np.round(resid)), initial=0.0) > 1e-6:
+        if round(abs(np.linalg.det(cvp_coeff))) != 1:
             raise NotInNeighborhood(
                 "distinguished vectors do not generate the medium lattice")
-        medium_basis = v_rows
-        raw_off = gamma_med[:, :p]
+        raw_off = (cvp_coeff @ lift)[:, :p]
         medium_offset = raw_off - nearest_point(fine_part, raw_off)
     else:
         medium_basis = np.zeros((0, 0))
-        gamma_med = np.zeros((0, n))
         medium_offset = np.zeros((0, p))
 
-    # coarse offsets
+    # coarse offsets: shortest coset representatives in both blocks
     if m:
         pre = coarse_coeff @ disc_rot
         if np.max(np.abs(pre[:, p + q:] - coarse_rows), initial=0.0) > 1e-6:
             raise InconsistentData("coarse preimages lost their block")
         if q:
-            med_raw = pre[:, p:p + q]
-            _, cc = solver.closest(med_raw)
-            reduction = _integer_coords(cc.astype(float) @ solver.basis,
-                                        med_rows) @ gamma_med
-            pre = pre - reduction
+            pre = pre - solver.closest(pre[:, p:p + q])[1] @ lift
         off_med = pre[:, p:p + q]
         off_fine = pre[:, :p] - nearest_point(fine_part, pre[:, :p])
     else:

@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import (NotInC1, NotLattice, NotUnitSystole, SingularBasePoint,
                      WrongAmbientDim)
-from .invariants import covolume, norms, systole
-from .subgroup import (ClosedSubgroup, make_subgroup, nearest_point,
-                       points_in_ball, scale)
+from .invariants import covolume, generation_data, systole
+from .subgroup import ClosedSubgroup, make_subgroup, nearest_point, scale
 
 INFINITY_POINT = complex(math.inf, 0.0)
 
@@ -92,7 +91,8 @@ def suspension_map(group: ClosedSubgroup, t: float,
 class ReducedForm:
     """Rotation angle in [0, pi) aligning a shortest vector with 1, and
     the second generator z in the fundamental domain: the subgroup is
-    e^(-i theta) (Z + z Z)."""
+    e^(-i theta) (Z + z Z).  At z = i theta is below pi/2, at the
+    corner below pi/3."""
 
     theta: float
     z: complex
@@ -118,55 +118,24 @@ def _canonicalize(theta: float, z: complex, tol: float):
 def reduce_lattice(group: ClosedSubgroup, tol: float = 1e-9) -> ReducedForm:
     """Canonical (theta, z) of a unit-systole lattice.
 
-    All shortest vectors are tried so that the extra symmetries of the
-    square and triangular lattices cannot change the answer; theta is
-    the smallest angle that works."""
+    The realizers of the two successive norms are a shortest vector a
+    and a shortest vector w outside Za, so z = w / a has |z| >= 1 and
+    |Re z| <= 1/2, and the lattice is a (Z + z Z).  The square and
+    triangular lattices are invariant under the rotations by pi/2 and
+    pi/3, so at z = i and at the corner theta is reduced modulo those
+    angles, which makes it the smallest angle that works."""
     _require_plane(group)
     if group.group_type != (0, 2):
         raise NotLattice("expected a rank-two lattice of the plane")
-    vals = norms(group)
+    vals, realizers = generation_data(group)
     if abs(vals[0] - 1.0) > tol:
         raise NotUnitSystole("the shortest vector must have norm 1")
-    pts = _as_complex(points_in_ball(group, 1.0 + 10 * tol))
-    shortest = [w for w in pts if abs(abs(w) - 1.0) <= 10 * tol]
-    cands = []
-    for a in shortest:
-        lam = 1.0 / a  # rotation sending a to 1 (|a| = 1)
-        b1, b2 = _as_complex(group.discrete_basis * 1.0)
-        u, w = lam * b1, lam * b2
-        # Gauss reduction of the rotated pair
-        for _ in range(64):
-            if abs(u) > abs(w):
-                u, w = w, u
-            shift = round((w * u.conjugate()).real / abs(u) ** 2)
-            w2 = w - shift * u
-            if abs(w2) >= abs(w) - tol and shift == 0:
-                break
-            w = w2
-        # u is now a shortest vector of the rotated lattice, so +-1
-        if abs(u.imag) > 10 * tol:
-            u, w = w, u
-        if abs(u.real + 1) <= 10 * tol:
-            u = -u
-        z = w / u
-        theta = (-cmath.phase(a)) % math.pi
-        cands.append(_canonicalize(theta, z, tol))
-    zs = [z for _, z in cands]
-    snapped = []
-    for theta, z in cands:
-        # corner ties: both corners describe the same lattice
-        if abs(z - _CORNER) <= 100 * tol or \
-                abs(z + _CORNER.conjugate()) <= 100 * tol:
-            theta2, z2 = _canonicalize(theta, _CORNER, tol)
-            snapped.append((theta2, z2))
-        else:
-            snapped.append((theta, z))
-    zs = [z for _, z in snapped]
-    z0 = zs[0]
-    if any(abs(z - z0) > 1e-6 for z in zs):
-        raise NotLattice(f"reduction produced conflicting forms: {zs}")
-    theta = min(t for t, _ in snapped)
-    return ReducedForm(theta, z0)
+    a, w = _as_complex(realizers)
+    theta, z = _canonicalize((-cmath.phase(a)) % math.pi, complex(w / a), tol)
+    for point, turn in ((_CORNER, math.pi / 3), (1j, math.pi / 2)):
+        if abs(z - point) <= 10 * tol:
+            theta %= turn
+    return ReducedForm(theta, z)
 
 
 def base_point(group: ClosedSubgroup, tol: float = 1e-9) -> complex:

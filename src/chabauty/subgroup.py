@@ -30,15 +30,14 @@ class GroupType(NamedTuple):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric thresholds: ``rank_tol`` for rank decisions during
-    canonicalization, ``recon_tol`` for reconstruction equality."""
+    """Numeric threshold ``rank_tol`` for rank decisions during
+    canonicalization."""
 
     rank_tol: float = 1e-9
-    recon_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.rank_tol <= 0 or self.recon_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if self.rank_tol <= 0:
+            raise ValueError("rank_tol must be strictly positive")
 
 
 DEFAULT_TOL = Tolerance()

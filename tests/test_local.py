@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chabauty as ch
 from chabauty import invariants
@@ -10,7 +12,7 @@ from chabauty.errors import (BasePointNotAligned, FlagsTooFar,
                              InconsistentData, InvalidPair, InvalidStratum,
                              NotDecomposable, NotInNeighborhood, OutOfRange)
 
-from conftest import random_type
+from conftest import brute_closest, random_type
 
 
 def rotation2(theta):
@@ -265,6 +267,109 @@ def test_roundtrip_random_cases(rng):
         rec = ch.reconstruct(lin, loc)
         assert ch.chabauty_distance(rec, g) < 1e-6
         done += 1
+
+
+def contains(big, small, tol=1e-9):
+    """Does ``big`` contain every generator of ``small``?  Off the
+    continuous part of ``big``, each must have integer coordinates in
+    its lattice basis."""
+    gens = np.vstack([small.continuous_basis, small.discrete_basis])
+    cont, disc = big.continuous_basis, big.discrete_basis
+    resid = gens - (gens @ cont.T) @ cont
+    if disc.shape[0]:
+        coords = np.linalg.lstsq(disc.T, resid.T, rcond=None)[0].T
+        resid = resid - np.round(coords) @ disc
+    return bool(np.all(np.linalg.norm(resid, axis=1) <= tol))
+
+
+def same_group(a, b):
+    return a.group_type == b.group_type and contains(a, b) and contains(b, a)
+
+
+def offsets_are_shortest(loc):
+    """Every offset is no longer than its distance to the lattice it is
+    taken modulo: the fine part (off its continuous directions) for the
+    fine offsets, the medium lattice for the medium ones."""
+    fine = loc.fine_part
+    for offsets, cont, disc in (
+            (loc.medium_offset, fine.continuous_basis, fine.discrete_basis),
+            (loc.coarse_offset_fine, fine.continuous_basis,
+             fine.discrete_basis),
+            (loc.coarse_offset_medium, None, loc.medium_basis)):
+        if offsets.size == 0:
+            continue
+        if cont is not None and cont.shape[0]:
+            if np.max(np.abs(offsets @ cont.T)) > 1e-9:
+                return False
+        sizes = np.linalg.norm(offsets, axis=1)
+        if disc.shape[0] and np.any(
+                sizes > brute_closest(disc, offsets) + 1e-9):
+            return False
+    return True
+
+
+def test_fine_part_is_the_whole_fine_lattice():
+    # Z^5 + Z (1, ..., 1) / 2: its ball at the largest successive norm
+    # holds only the +-e_i, which generate an index-2 sublattice
+    half = 0.01 * np.vstack([np.eye(5)[1:], 0.5 * np.ones(5)])
+    g = ch.make_subgroup(5, None, half)
+    base = ch.standard_subgroup(5, 5, 0)
+    assert ch.in_scale_neighborhood(g, base, 0.1)
+    lin, loc = ch.local_decomposition(g, base, 0.1)
+    assert invariants.discrete_covolume(loc.fine_part) == pytest.approx(
+        invariants.discrete_covolume(g), rel=1e-9)
+    rec = ch.reconstruct(lin, loc)
+    assert ch.distance_to_subgroup(0.005 * np.ones(5), rec) < 1e-12
+    assert same_group(rec, g)
+
+
+def test_coarse_medium_offset_is_a_shortest_coset_representative():
+    # the LLL basis of the medium lattice is not its distinguished basis
+    rows = [[1.022, -0.026, 0.006, 0], [0.003, 1.014, 0.021, 0],
+            [-0.031, 0.01, 0.993, 0], [0.685, 1.164, 0.513, 30]]
+    g = ch.make_subgroup(4, None, rows)
+    base = ch.standard_subgroup(4, 0, 3)
+    lin, loc = ch.local_decomposition(g, base, 0.1)
+    off = loc.coarse_offset_medium
+    assert np.linalg.norm(off) == pytest.approx(
+        brute_closest(loc.medium_basis, off)[0], abs=1e-12)
+    assert np.linalg.norm(off) < 0.62
+    assert same_group(ch.reconstruct(lin, loc), g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_reconstruct_inverts_local_decomposition(seed, data):
+    """Near an aligned base point of type (p, q) at delta = 0.1: fine
+    lattices of rank up to 5 (some with the glue vector (1, ..., 1) / 2),
+    continuous fine directions, medium rows I + 0.04 U(-1, 1) with fine
+    offsets, and at most one coarse row (U(-3, 3), 30)."""
+    p = data.draw(st.integers(0, 5))
+    discrete = data.draw(st.integers(0, p))
+    q = data.draw(st.integers(0 if p else 1, min(3, 6 - p)))
+    coarse = data.draw(st.integers(0, min(1, 6 - p - q)))
+    glue = data.draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    n = p + q + coarse
+    eye = np.eye(n)
+    size = 0.1 * rng.uniform(0.15, 0.3)
+    disc = [size * eye[i] for i in range(discrete)]
+    if glue and discrete > 1:
+        disc[0] = 0.5 * size * eye[:discrete].sum(axis=0)
+    for i in range(q):
+        row = eye[p + i].copy()
+        row[p:p + q] += 0.04 * rng.uniform(-1, 1, q)
+        row[:p] = rng.uniform(-2, 2, p)
+        disc.append(row)
+    for j in range(coarse):
+        row = 30.0 * eye[p + q + j]
+        row[:p + q] = rng.uniform(-3, 3, p + q)
+        disc.append(row)
+    g = ch.make_subgroup(n, eye[discrete:p], disc)
+    base = ch.standard_subgroup(n, p, q)
+    lin, loc = ch.local_decomposition(g, base, 0.1)
+    assert offsets_are_shortest(loc)
+    assert same_group(ch.reconstruct(lin, loc), g)
 
 
 # --- link geometry --------------------------------------------------------

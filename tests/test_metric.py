@@ -272,6 +272,24 @@ def test_rank_7_target_without_a_covering_radius():
         metric._directed_gap(line, b, 1.0, params, None) - params.grid
 
 
+def test_refused_walk_is_kept_on_the_solver():
+    """A target whose Voronoi walk is refused is walked once: later
+    calls raise the same refusal without walking again."""
+    a = ch.random_subgroup(7, (1, 1), seed=3)
+    b = ch.random_subgroup(7, (0, 7), seed=4)
+    with mock.patch.object(_lattice, "_voronoi_walk",
+                           wraps=_lattice._voronoi_walk) as walk:
+        ch.chabauty_distance(a, b)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(EnumerationBudgetExceeded) as info:
+                subgroup._solver(b).covering_radius()
+            messages.append(str(info.value))
+    assert walk.call_count == 1
+    assert messages[0] == messages[1]
+    assert "rank-7 lattice" in messages[0]
+
+
 def test_lattice_point_outside_the_ball_does_not_count():
     # (0.1, 1) has norm 1.005: outside the unit ball, and 1 from the
     # line; the lattice points inside lie on the line, and the gap is

@@ -129,6 +129,30 @@ def test_reduce_reconstructs_lattice(rng):
         assert abs(form.z.real) <= 0.5 + 1e-9
 
 
+def same_lattice(a, b):
+    """Do the two bases generate the same lattice: integer coordinates
+    each way, that is, a unimodular change of basis?"""
+    coords = np.linalg.solve(b.discrete_basis.T, a.discrete_basis.T).T
+    return (np.max(np.abs(coords - np.round(coords))) < 1e-9
+            and round(abs(np.linalg.det(np.round(coords)))) == 1)
+
+
+@pytest.mark.parametrize("z, turn", [(CORNER, math.pi / 3),
+                                     (1j, math.pi / 2)])
+def test_reduce_symmetric_lattices_take_the_smallest_angle(z, turn):
+    # the rotations by pi/3 and pi/2 fix these two lattices, so theta
+    # is reduced modulo them
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        g = ch.apply_linear(rotation2(rng.uniform(0, 2 * math.pi)),
+                            lattice(1.0, z))
+        form = ch.reduce_lattice(g)
+        assert 0.0 <= form.theta < turn
+        assert form.z == pytest.approx(z, abs=1e-9)
+        assert same_lattice(ch.apply_linear(rotation2(-form.theta),
+                                            lattice(1.0, form.z)), g)
+
+
 def test_reduce_boundary_lattices(rng):
     # circle edges (both glued sides), vertical edges, and near-corner
     # points all land on canonical representatives and reconstruct
