@@ -1,5 +1,6 @@
 """Low-level lattice numerics: orthonormalization, LLL reduction, exact
-ball enumeration, closest-vector queries and covering radii.
+ball enumeration, closest-vector queries, the shortest vectors of the
+classes of L/2L and covering radii.
 
 Bases are stored as row vectors.  All reductions act by integer row
 operations only, so the generated lattice is preserved exactly up to
@@ -14,7 +15,10 @@ numeric failure raises EnumerationBudgetExceeded with its numbers.
 Ball enumeration and closest-vector queries share one lattice-point
 search, ``_fincke_pohst`` (Fincke & Pohst, Math. Comp. 1985), run
 breadth-first so that numpy treats every node of a level at once.  Its
-one budget is the number of nodes a level may hold for one target.
+one budget is the number of nodes a level may hold, summed over the
+targets of one call.  ``LatticeSolver.class_vectors`` runs one batched
+closest-vector query for the shortest vector of each class of L/2L;
+the successive norms and the Voronoi cell both read it.
 ``search_ball`` returns the points of a ball in search order with their
 squared norms, for callers that take a maximum or a minimum over them;
 ``enumerate_ball`` sorts the same points by (norm, lexicographic), the
@@ -262,7 +266,7 @@ def _fincke_pohst(mu, bstar_sq, centres, bound2, cap=1_000_000):
     A node keeps the squared radius left after the distance along
     b*_j..b*_{q-1}, which no later choice changes, so pruning loses no
     point.  Raises EnumerationBudgetExceeded when a level would hold
-    more than ``cap`` nodes for one target.
+    more than ``cap`` nodes, summed over all targets of the call.
     """
     m, q = centres.shape
     owner = np.arange(m)
@@ -273,12 +277,11 @@ def _fincke_pohst(mu, bstar_sq, centres, bound2, cap=1_000_000):
         w = np.sqrt(np.maximum(rest, 0.0) / bstar_sq[j])
         lo = np.ceil(ctr[:, j] - w)
         k = np.floor(ctr[:, j] + w) - lo + 1  # >= 0 because w >= 0
-        if k.sum() > cap:
-            worst = np.bincount(owner, weights=k).max()
-            if worst > cap:
-                raise EnumerationBudgetExceeded(
-                    f"lattice search needs {worst:.0f} nodes on one level, "
-                    f"over the cap of {cap}")
+        total = k.sum()
+        if total > cap:
+            raise EnumerationBudgetExceeded(
+                f"lattice search needs {total:.0f} nodes on one level, "
+                f"over the cap of {cap}")
         k = k.astype(np.int64)
         idx = np.repeat(np.arange(k.size), k)
         c = np.arange(idx.size) - np.repeat(np.cumsum(k) - k - lo, k)
@@ -399,6 +402,7 @@ class LatticeSolver:
         self.rank = b.shape[0]
         self.dim = b.shape[1]
         self._cover = None
+        self._classes = None
         if self.rank == 0:
             self.basis = b.reshape(0, self.dim)
             self._cover = (0.0, np.zeros((1, self.dim)))
@@ -418,8 +422,10 @@ class LatticeSolver:
             y -= np.outer(c, self.basis[i])
         return coeffs
 
-    def closest(self, targets: np.ndarray):
-        """Exact closest vectors: returns (distances, coefficients)."""
+    def closest(self, targets: np.ndarray, cap: int = 1_000_000):
+        """Exact closest vectors: returns (distances, coefficients).
+        Raises EnumerationBudgetExceeded when one level of the search
+        would hold more than ``cap`` nodes over all targets."""
         y = np.atleast_2d(np.asarray(targets, dtype=float))
         if self.rank == 0:
             return np.linalg.norm(y, axis=1), np.zeros((y.shape[0], 0),
@@ -433,7 +439,7 @@ class LatticeSolver:
         if todo.size:
             centres = (y[todo] @ self._bstar.T) / self._bstar_sq
             owner, cand = _fincke_pohst(self._mu, self._bstar_sq, centres,
-                                        resid2[todo])
+                                        resid2[todo], cap)
             cdiff = cand @ self.basis - y[todo[owner]]
             cd2 = np.einsum("ij,ij->i", cdiff, cdiff)
             order = np.lexsort((cd2, owner))
@@ -444,17 +450,48 @@ class LatticeSolver:
             coeffs[rows] = cand[first]
         return np.sqrt(d2), coeffs
 
+    def class_vectors(self, cap: int = 1_000_000) -> np.ndarray:
+        """Integer coefficients in ``basis`` of the shortest vector of
+        each nonzero class c of L/2L, one read-only row per class in
+        binary order: c - 2 closest(c B / 2).  Those alone in their class
+        up to sign are the Voronoi-relevant vectors (Conway & Sloane,
+        SPLAG, ch. 2), and every successive norm is the norm of one of
+        them.
+
+        One batched ``closest`` finds them, with ``cap`` nodes on a
+        level over its 2^q - 1 targets; they are kept once found.  Over
+        that budget, or at once when the targets alone outnumber ``cap``,
+        raises EnumerationBudgetExceeded naming the rank and the cap.
+        """
+        if self._classes is None:
+            q = self.rank
+            count = 2 ** q - 1
+            try:
+                if count > cap:
+                    raise EnumerationBudgetExceeded(
+                        f"{count} targets, over the cap of {cap}")
+                classes = (np.arange(1, 2 ** q)[:, None] >> np.arange(q)) & 1
+                near = self.closest(0.5 * classes @ self.basis, cap)[1]
+            except EnumerationBudgetExceeded as exc:
+                raise EnumerationBudgetExceeded(
+                    f"shortest vectors of the {count} classes of L/2L at "
+                    f"rank {q}: {exc}") from None
+            rel = classes - 2 * near
+            rel.setflags(write=False)
+            self._classes = rel
+        return self._classes
+
     def covering_radius(self):
         """Covering radius mu and the vertices of the Voronoi cell of 0,
         farthest first, as rows of a (k, dim) array; computed once.
 
         The cell is cut out by <x, r> <= |r|^2 / 2 for +-r, r the
-        shortest vector of each nonzero class c of L/2L, which is
-        c B - 2 closest(c B / 2) (Conway & Sloane, SPLAG, ch. 2).  Its
-        vertices are walked in Gram-Schmidt coordinates on right-hand
-        sides scaled by 1 + 1e-10 u, u fixed and uniform in [0, 1), which
-        makes every vertex simple, and solved again on the exact ones, so
-        mu carries no perturbation.  Raises EnumerationBudgetExceeded when
+        Voronoi-relevant vectors among ``class_vectors``, the query the
+        successive norms read too.  Its vertices are walked in
+        Gram-Schmidt coordinates on right-hand sides scaled by
+        1 + 1e-10 u, u fixed and uniform in [0, 1), which makes every
+        vertex simple, and solved again on the exact ones, so mu carries
+        no perturbation.  Raises EnumerationBudgetExceeded when
         the walk is over budget (a generic rank-7 cell has 8! vertices),
         and at once from rank 9 on; the refusal is kept too, and later
         calls raise it again without walking.
@@ -472,7 +509,7 @@ class LatticeSolver:
     def _voronoi_cell(self):
         q = self.rank
         # one level holding the 2^(q-1) vertex pairs of the cube, the
-        # cell of Z^q; checked before the 2^q - 1 closest queries
+        # cell of Z^q; checked before the class query
         tests = 2 ** (q - 1) * q * (2 ** (q + 1) - 2)
         if tests > _WALK_BUDGET:
             raise EnumerationBudgetExceeded(
@@ -480,9 +517,14 @@ class LatticeSolver:
                 f"would take {tests} ratio tests, over the budget of "
                 f"{_WALK_BUDGET}")
         scale = np.sqrt(self._bstar_sq)
-        classes = (np.arange(1, 2 ** q)[:, None] >> np.arange(q)) & 1
-        near = self.closest(0.5 * classes @ self.basis)[1]
-        rel = (classes - 2 * near) @ ((self._mu + np.eye(q)) * scale)
+        rel = self.class_vectors() @ ((self._mu + np.eye(q)) * scale)
+        # class c holds a second pair of shortest vectors, and its
+        # halfspace only touches the cell, when |r_a|^2 + |r_b|^2 =
+        # |r_c|^2 for some a ^ b = c: r_a +- r_b are both shortest in c
+        sq = np.einsum("ij,ij->i", rel, rel)
+        cls = np.arange(1, 2 ** q)
+        pair = np.concatenate(([np.inf], sq))[cls[:, None] ^ cls]
+        rel = rel[(sq[:, None] + pair).min(axis=0) > sq * (1 + 1e-10)]
         normals = np.stack([rel, -rel], axis=1).reshape(-1, q)
         rhs = np.repeat(0.5 * np.einsum("ij,ij->i", rel, rel), 2)
         u = np.random.default_rng(_JITTER_SEED).random(len(rel))

@@ -4,6 +4,13 @@ The i-th norm of a closed subgroup is the radius at which the subgroup
 generated by elements of norm <= r jumps to rank i: the first p are 0
 (continuous directions), the next q are the finite generation radii of
 the discrete part, the rest are infinity.
+
+Each finite norm is the norm of the shortest vector of some nonzero
+class of L/2L, L the discrete part: a vector that is not the only one
+of its class up to sign is the sum of two strictly shorter lattice
+vectors.  So the norms and their realizers come from the 2^q - 1 class
+vectors of the subgroup's shared solver, the query its Voronoi cell
+reads too, with no ball enumeration.
 """
 from __future__ import annotations
 
@@ -12,9 +19,8 @@ import weakref
 
 import numpy as np
 
-from . import _lattice
 from .errors import WrongAmbientDim
-from .subgroup import ClosedSubgroup, GroupType
+from .subgroup import ClosedSubgroup, GroupType, _solver
 
 
 class _Indeterminate:
@@ -33,90 +39,6 @@ class _Indeterminate:
 
 
 INDETERMINATE = _Indeterminate()
-
-
-def _generation_radii_sorted(basis: np.ndarray, rank_tol: float,
-                             cap: int):
-    """Enumerate every lattice point up to the largest basis norm,
-    sorted by norm, and record the radii where the span rank jumps
-    together with the points realizing them.
-
-    One residual array holds every point with the accepted directions
-    projected out, in the order they were accepted; each step accepts
-    the first point whose residual is not negligible and projects its
-    direction out of the points after it."""
-    q = basis.shape[0]
-    row_norms = np.linalg.norm(basis, axis=1)
-    pts, _ = _lattice.enumerate_ball(
-        basis, float(row_norms.max()) * (1 + 1e-12), cap)
-    sizes = np.linalg.norm(pts, axis=1)
-    keep = sizes > rank_tol
-    pts, sizes = pts[keep], sizes[keep]
-    resid = pts.copy()
-    thresholds = rank_tol * np.maximum(1.0, sizes)
-    picked = []
-    start = 0
-    while len(picked) < q:
-        above = np.flatnonzero(
-            np.linalg.norm(resid[start:], axis=1) > thresholds[start:])
-        if above.size == 0:
-            break
-        i = start + int(above[0])
-        u = resid[i] / np.linalg.norm(resid[i])
-        picked.append(i)
-        start = i + 1
-        tail = resid[start:]
-        tail -= np.outer(tail @ u, u)
-    return sizes[picked], pts[picked]
-
-
-def _generation_radii_projected(basis: np.ndarray, rank_tol: float,
-                                cap: int):
-    """Generation radii via iterated shortest-vector-outside-the-span
-    searches in the quotient lattice.
-
-    Equivalent to the sorted enumeration but immune to the blowup of
-    very anisotropic spectra (say norms 1, 1, 1000), where the ball at
-    the largest basis norm holds millions of points."""
-    q, n = basis.shape
-    zero_tol = max(1e-12, 1e-10 * float(np.linalg.norm(basis, axis=1).max()))
-    span = np.zeros((0, n))
-    radii = []
-    realizers = []
-    while len(radii) < q:
-        proj = basis - (basis @ span.T) @ span
-        qrows, qcoeff, kernel = _lattice.basis_from_generators(
-            proj, zero_tol)
-        inside = kernel @ basis if kernel.shape[0] else np.zeros((0, n))
-        solver = _lattice.LatticeSolver(inside) if inside.shape[0] else None
-
-        def lifted_norm(coeff_rows):
-            full = coeff_rows @ basis
-            along = (full @ span.T) @ span if span.shape[0] else 0.0
-            resid = full - along
-            if solver is None:
-                red = np.linalg.norm(along, axis=1) if span.shape[0] \
-                    else np.zeros(full.shape[0])
-            else:
-                red, _ = solver.closest(np.atleast_2d(along))
-            return np.sqrt(np.linalg.norm(resid, axis=1) ** 2 + red ** 2), full
-
-        best_sizes, best_fulls = lifted_norm(qcoeff)
-        order = int(np.argmin(best_sizes))
-        best, realizer = float(best_sizes[order]), best_fulls[order]
-        pts, coeffs = _lattice.enumerate_ball(qrows, best * (1 + 1e-12), cap)
-        nz = np.linalg.norm(pts, axis=1) > zero_tol
-        if np.any(nz):
-            sizes, fulls = lifted_norm(coeffs[nz] @ qcoeff)
-            arg = int(np.argmin(sizes))
-            if sizes[arg] < best:
-                best, realizer = float(sizes[arg]), fulls[arg]
-        radii.append(best)
-        realizers.append(realizer)
-        resid = realizer - (realizer @ span.T) @ span if span.shape[0] \
-            else realizer
-        span = np.vstack([span, resid / np.linalg.norm(resid)])
-    return np.array(radii), np.array(realizers)
 
 
 _generation_memo: "weakref.WeakKeyDictionary[ClosedSubgroup, dict]" = \
@@ -147,6 +69,13 @@ def generation_data(group: ClosedSubgroup, rank_tol: float = 1e-9,
 
 
 def _generation_data(group: ClosedSubgroup, rank_tol: float, cap: int):
+    """The residual pass over the shortest vectors of the classes of
+    L/2L, each signed to be the lexicographically smaller of +-v and
+    sorted by (norm, lexicographic) with keys rounded to 9 digits, as
+    ``enumerate_ball`` sorts.  One residual array holds the vectors with
+    the accepted directions projected out; each step accepts the first
+    vector whose residual is not negligible and projects its direction
+    out of the vectors after it."""
     n = group.ambient_dim
     p = group.continuous_dim
     q = group.discrete_rank
@@ -154,16 +83,32 @@ def _generation_data(group: ClosedSubgroup, rank_tol: float, cap: int):
     out[:p] = 0.0
     if q == 0:
         return out, np.zeros((0, n))
-    basis = group.discrete_basis
-    nu = _lattice.dual_coefficient_norms(basis)
-    rmax = float(np.linalg.norm(basis, axis=1).max())
-    box = np.prod(2 * np.floor(rmax * nu + 1e-9) + 1)
-    if box <= 262_144:
-        radii, realizers = _generation_radii_sorted(basis, rank_tol, cap)
-    else:
-        radii, realizers = _generation_radii_projected(basis, rank_tol, cap)
-    out[p:p + len(radii)] = radii
-    return out, realizers
+    solver = _solver(group)
+    pts = solver.class_vectors(cap) @ solver.basis
+    keys = np.round(pts, 9)
+    flip = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)] > 0
+    pts[flip] *= -1.0
+    keys[flip] *= -1.0
+    sizes = np.linalg.norm(pts, axis=1)
+    order = np.lexsort([*keys.T[::-1], np.round(sizes, 9)])
+    pts, sizes = pts[order], sizes[order]
+    resid = pts.copy()
+    thresholds = rank_tol * np.maximum(1.0, sizes)
+    picked = []
+    start = 0
+    while len(picked) < q:
+        above = np.flatnonzero(
+            np.linalg.norm(resid[start:], axis=1) > thresholds[start:])
+        if above.size == 0:
+            break
+        i = start + int(above[0])
+        u = resid[i] / np.linalg.norm(resid[i])
+        picked.append(i)
+        start = i + 1
+        tail = resid[start:]
+        tail -= np.outer(tail @ u, u)
+    out[p:p + len(picked)] = sizes[picked]
+    return out, pts[picked]
 
 
 def norms(group: ClosedSubgroup, rank_tol: float = 1e-9,

@@ -172,14 +172,19 @@ class LocalDecomposition:
         return self.coarse_basis.shape[0]
 
 
-def _shortest_vector(basis: np.ndarray) -> float:
-    if basis.shape[0] == 0:
-        return np.inf
-    rad = float(np.linalg.norm(basis, axis=1).min()) * (1 + 1e-12)
-    pts = _lattice.search_ball(basis, rad)[0]
-    sizes = np.linalg.norm(pts, axis=1)
-    sizes = sizes[sizes > 1e-12]
-    return float(sizes.min()) if sizes.size else np.inf
+def _norm_budget(fine_part: ClosedSubgroup, coarse_rows: np.ndarray,
+                 rank_tol: float = 1e-9):
+    """The last norm np of the fine part, the first norm n1 of the
+    coarse lattice (inf when there is none) and the budget np + 1 / n1.
+    n1 is the shortest of the coarse lattice's class vectors."""
+    p = fine_part.ambient_dim
+    np_fine = float(norms(fine_part, rank_tol)[p - 1]) if p else 0.0
+    n1 = np.inf
+    if coarse_rows.shape[0]:
+        solver = _lattice.LatticeSolver(coarse_rows)
+        v = solver.class_vectors() @ solver.basis
+        n1 = float(np.sqrt(np.einsum("ij,ij->i", v, v).min()))
+    return np_fine, n1, np_fine + 1.0 / n1
 
 
 def _integer_coords(points: np.ndarray, basis: np.ndarray,
@@ -231,7 +236,10 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
     base_flag = standard_flag(n, p, q)
     if flag_gap(lin, base_flag) >= delta:
         raise NotInNeighborhood("flag is not delta-close to the base flag")
-    tau = trivialisation(lin, base_flag).matrix
+    try:
+        tau = trivialisation(lin, base_flag).matrix
+    except FlagsTooFar as exc:
+        raise NotInNeighborhood(str(exc)) from None
     disc_rot = group.discrete_basis @ tau.T
     cont_rot = group.continuous_basis @ tau.T
     if cont_rot.shape[0] and np.max(np.abs(cont_rot[:, p:]),
@@ -275,9 +283,7 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
     if fine_part.rank != p:
         raise NotInNeighborhood("fine block is not of maximal rank")
 
-    np_fine = float(norms(fine_part, tol.rank_tol)[p - 1]) if p else 0.0
-    n1_coarse = _shortest_vector(coarse_rows)
-    budget = np_fine + (0.0 if np.isinf(n1_coarse) else 1.0 / n1_coarse)
+    budget = _norm_budget(fine_part, coarse_rows, tol.rank_tol)[2]
     if budget >= delta:
         raise NotInNeighborhood(
             f"fine/coarse norm budget {budget:.6g} is not below {delta}")
@@ -396,9 +402,7 @@ def on_link(group: ClosedSubgroup, base: ClosedSubgroup, delta: float,
         return False
     if np.max(np.abs(loc.medium_offset), initial=0.0) > tol:
         return False
-    np_fine = float(norms(loc.fine_part)[p - 1]) if p else 0.0
-    n1c = _shortest_vector(loc.coarse_basis)
-    budget = np_fine + (0.0 if np.isinf(n1c) else 1.0 / n1c)
+    budget = _norm_budget(loc.fine_part, loc.coarse_basis)[2]
     return abs(budget - delta / 2.0) <= tol * max(1.0, delta)
 
 
@@ -439,10 +443,8 @@ def bundle_projection(lin: LinearDecomposition, loc: LocalDecomposition,
         raise InvalidStratum(
             "the links of the trivial group and of the full space are "
             "plain cones, not bundles")
-    np_fine = float(norms(loc.fine_part)[p - 1]) if p else 0.0
-    n1c = _shortest_vector(loc.coarse_basis)
+    np_fine, n1c, budget = _norm_budget(loc.fine_part, loc.coarse_basis)
     if require_link:
-        budget = np_fine + (0.0 if np.isinf(n1c) else 1.0 / n1c)
         if abs(budget - delta / 2.0) > max(tol, 1e-9) * max(1.0, delta):
             raise NotInNeighborhood("the point is not on the link")
     fine_norm = scale(loc.fine_part, np.inf) if np_fine == 0 \

@@ -12,15 +12,16 @@ from chabauty.errors import EnumerationBudgetExceeded
 
 
 def brute_points_in_ball(basis, radius):
-    """Independent enumeration oracle: integer box from the smallest
-    singular value, exhaustive filter."""
+    """Independent enumeration oracle: integer box from the dual basis,
+    exhaustive filter.  Coefficient i of a point x is <x, d_i>, d_i the
+    i-th dual basis vector, so |c_i| <= radius |d_i|."""
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     q, n = basis.shape
     if q == 0:
         return np.zeros((1, n))
-    smin = np.linalg.svd(basis, compute_uv=False)[-1]
-    k = int(np.floor(radius / smin + 1e-9)) + 1
-    axes = [np.arange(-k, k + 1)] * q
+    dual = np.linalg.pinv(basis)
+    ks = np.floor(radius * np.linalg.norm(dual, axis=0) + 1e-9).astype(int)
+    axes = [np.arange(-k, k + 1) for k in ks + 1]
     mesh = np.meshgrid(*axes, indexing="ij")
     coeffs = np.stack([m.reshape(-1) for m in mesh], axis=1)
     pts = coeffs @ basis

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-import chabauty as ch
-from chabauty import _lattice
-from chabauty.errors import EnumerationBudgetExceeded, WrongAmbientDim
-from chabauty.invariants import (INDETERMINATE, _generation_radii_projected,
-                                 _generation_radii_sorted, generation_data)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_norms, random_group
+import chabauty as ch
+from chabauty import _lattice, subgroup
+from chabauty.errors import EnumerationBudgetExceeded, WrongAmbientDim
+from chabauty.invariants import INDETERMINATE, generation_data
+
+from conftest import brute_norms, brute_points_in_ball, random_group
 
 
 def test_norms_boundary_cases():
@@ -33,15 +35,38 @@ def test_norms_generation_radius_not_row_norm():
     assert vals[1] == pytest.approx(math.hypot(0.5, 0.9))
 
 
-def test_norms_projected_fallback_agrees():
-    basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1024.0]])
-    g = ch.make_subgroup(3, None, basis)
-    np.testing.assert_allclose(ch.norms(g), [1.0, 1.0, 1024.0])
-    direct, realizers = _generation_radii_projected(
-        g.discrete_basis, 1e-9, 10 ** 6)
-    np.testing.assert_allclose(direct, [1.0, 1.0, 1024.0])
+def orthogonal_sum(rng, parts):
+    """The orthogonal sum of the lattices with row bases ``parts``,
+    rotated at random, its basis mixed by a random unimodular matrix,
+    and its norms from ``brute_norms`` on each part.  The norms of an
+    orthogonal sum are those of its summands merged, since the part of a
+    vector in a summand is no longer than the vector."""
+    dims = [b.shape[1] for b in parts]
+    n = sum(dims)
+    basis = np.zeros((n, n))
+    at = 0
+    for b, d in zip(parts, dims):
+        basis[at:at + d, at:at + d] = b
+        at += d
+    rot, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    mix = np.eye(n) + np.triu(rng.integers(-2, 3, (n, n)), 1)
+    g = ch.make_subgroup(n, None, mix @ basis @ rot)
+    expected = np.sort(np.concatenate(
+        [brute_norms(ch.make_subgroup(d, None, b))
+         for b, d in zip(parts, dims)]))
+    return g, expected
+
+
+def test_norms_of_a_long_spectrum_match_brute_oracle(rng):
+    # the ball at the largest norm holds about 3.3 million points
+    g = ch.make_subgroup(3, None, np.diag([1.0, 1.0, 1024.0]))
+    vals, realizers = generation_data(g)
+    np.testing.assert_allclose(vals, [1.0, 1.0, 1024.0])
     np.testing.assert_allclose(np.sort(np.abs(realizers).max(axis=1)),
                                [1.0, 1.0, 1024.0])
+    for _ in range(5):
+        g, expected = orthogonal_sum(rng, [np.eye(2), np.array([[1024.0]])])
+        np.testing.assert_allclose(ch.norms(g), expected, rtol=1e-12)
 
 
 def test_norms_match_brute_oracle(rng):
@@ -138,10 +163,9 @@ def test_norm_continuity_along_family():
     assert max(deltas) <= 1.0 + 1e-9
 
 
-def _sorted_path_bases(rng, per_dim):
+def _squeezed_bases(rng, per_dim):
     """Seeded full-rank bases at n = 1..5, half of them squeezed along
-    one axis so that the ball holds many points of low rank, all small
-    enough for the sorted enumeration path."""
+    one axis so that the ball holds many points of low rank."""
     for n in range(1, 6):
         for k in range(per_dim):
             g = random_group(rng, n, (0, n))
@@ -149,49 +173,30 @@ def _sorted_path_bases(rng, per_dim):
                 scales = np.ones(n)
                 scales[rng.integers(n)] = np.exp(rng.uniform(-3.5, -1.0))
                 g = ch.apply_linear(np.diag(scales), g)
-            basis = g.discrete_basis
-            nu = _lattice.dual_coefficient_norms(basis)
-            rmax = float(np.linalg.norm(basis, axis=1).max())
-            assert np.prod(2 * np.floor(rmax * nu + 1e-9) + 1) <= 262_144
             yield g
 
 
-def _per_point_radii(basis, rank_tol, cap):
-    """Reference for the sorted pass: one point at a time, each point's
-    residual built from scratch against the accepted directions."""
-    q = basis.shape[0]
-    row_norms = np.linalg.norm(basis, axis=1)
-    pts, _ = _lattice.enumerate_ball(
-        basis, float(row_norms.max()) * (1 + 1e-12), cap)
-    sizes = np.linalg.norm(pts, axis=1)
-    keep = sizes > rank_tol
-    ortho, radii, realizers = [], [], []
-    for v, r in zip(pts[keep], sizes[keep]):
-        resid = v.copy()
-        for u in ortho:
-            resid -= (resid @ u) * u
-        nr = np.linalg.norm(resid)
-        if nr > rank_tol * max(1.0, r):
-            ortho.append(resid / nr)
-            radii.append(r)
-            realizers.append(v)
-            if len(radii) == q:
-                break
-    return np.array(radii), np.array(realizers)
-
-
-def test_sorted_pass_matches_per_point_reference(rng):
-    for g in _sorted_path_bases(rng, 12):
-        radii, realizers = _generation_radii_sorted(
-            g.discrete_basis, 1e-9, 10 ** 6)
-        ref_radii, ref_realizers = _per_point_radii(
-            g.discrete_basis, 1e-9, 10 ** 6)
-        assert np.array_equal(radii, ref_radii)
-        assert np.array_equal(realizers, ref_realizers)
+def test_realizers_span_the_flag(rng):
+    """The realizers are lattice points whose norms are the norms, and
+    for each norm r the realizers of norm <= r span the same space as
+    all lattice points of norm <= r."""
+    for g in _squeezed_bases(rng, 12):
+        vals, realizers = generation_data(g)
+        np.testing.assert_allclose(vals, brute_norms(g), atol=1e-9)
+        basis = g.discrete_basis
+        coords = realizers @ np.linalg.inv(basis)
+        np.testing.assert_allclose(coords, np.round(coords), atol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(realizers, axis=1), vals)
+        pts = brute_points_in_ball(basis, vals.max() * (1 + 1e-9))
+        sizes = np.linalg.norm(pts, axis=1)
+        for r in vals:
+            span = realizers[vals <= r * (1 + 1e-9)]
+            both = np.vstack([span, pts[sizes <= r * (1 + 1e-9)]])
+            assert np.linalg.matrix_rank(both, tol=1e-9) == span.shape[0]
 
 
 def test_sorted_path_norms_match_brute_oracle(rng):
-    for g in _sorted_path_bases(rng, 6):
+    for g in _squeezed_bases(rng, 6):
         np.testing.assert_allclose(ch.norms(g), brute_norms(g), atol=1e-9)
 
 
@@ -208,8 +213,48 @@ def test_generation_data_repeats_read_only():
 
 
 def test_generation_data_budget_failure_not_cached():
-    g = ch.standard_subgroup(3, 0, 3)  # 7 points in the unit ball
+    g = ch.standard_subgroup(3, 0, 3)  # 7 classes of L/2L, over the cap
     for _ in range(2):
         with pytest.raises(EnumerationBudgetExceeded):
             generation_data(g, cap=5)
     np.testing.assert_allclose(ch.norms(g), [1.0, 1.0, 1.0])
+
+
+def test_class_query_reach():
+    # one level of the class query of Z^13 holds 1,062,881 nodes over
+    # its 8191 targets, past the default cap of 10^6
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=r"rank 13\b.*\b1000000\b"):
+        ch.norms(ch.standard_subgroup(13, 0, 13))
+    g = ch.random_subgroup(12, (0, 12), seed=12)
+    basis = g.discrete_basis
+    sq = _lattice.search_ball(
+        basis, float(np.linalg.norm(basis, axis=1).min()))[2]
+    assert ch.norms(g)[0] == pytest.approx(np.sqrt(sq[sq > 0].min()),
+                                           rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), q=st.integers(1, 5),
+       spectrum=st.sampled_from(["gaussian", "log", "long"]),
+       t=st.floats(0.05, 20.0))
+def test_norms_match_brute_oracle_and_mu_scales(seed, q, spectrum, t):
+    """Gaussian bases, rows scaled by e^U(-1.5, 1.5), and the spectrum
+    (1, ..., 1, 1000), whose ball at the largest norm no oracle box
+    holds: there the oracle runs on the summands."""
+    rng = np.random.default_rng(seed)
+    if spectrum == "long":
+        g, expected = orthogonal_sum(rng, [np.eye(q - 1),
+                                           np.array([[1000.0]])])
+    else:
+        basis = rng.normal(size=(q, q))
+        if spectrum == "log":
+            basis *= np.exp(rng.uniform(-1.5, 1.5, (q, 1)))
+        g = ch.make_subgroup(q, None, basis)
+        expected = brute_norms(g)
+    np.testing.assert_allclose(ch.norms(g), expected, rtol=1e-9, atol=1e-9)
+    scaled = ch.scale(g, t)
+    np.testing.assert_allclose(ch.norms(scaled), t * ch.norms(g), rtol=1e-9)
+    mu = subgroup._solver(g).covering_radius()[0]
+    assert subgroup._solver(scaled).covering_radius()[0] == pytest.approx(
+        t * mu, rel=1e-9)

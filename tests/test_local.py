@@ -188,6 +188,15 @@ def test_membership_reports_reason():
     assert report.reason
 
 
+def test_flag_beyond_the_alignment_is_a_failed_membership():
+    # the flag gap 0.8 is below delta = 0.9 but above trivialisation's 0.7
+    report = ch.in_scale_neighborhood(
+        ch.make_subgroup(2, None, [(0.6, 0.8)]), ch.standard_subgroup(2, 0, 1),
+        0.9)
+    assert not report
+    assert report.reason == "blockwise principal angles exceed the bound"
+
+
 def test_reconstruct_base_point():
     base = ch.standard_subgroup(4, 1, 2)
     lin, loc = ch.local_decomposition(base, base, 0.1)
@@ -251,6 +260,10 @@ def test_membership_norm_budget():
     report = ch.in_scale_neighborhood(g, base, delta)
     assert not report
     assert "budget" in report.reason
+    # a coarse lattice of rank 2 counts with its shortest vector, 12
+    g = ch.make_subgroup(3, None, [(0.06, 0, 0), (0, 12.0, 0), (0, 0, 30.0)])
+    report = ch.in_scale_neighborhood(g, ch.standard_subgroup(3, 1, 0), delta)
+    assert report.reason == "fine/coarse norm budget 0.143333 is not below 0.1"
 
 
 def test_roundtrip_random_cases(rng):
