@@ -54,6 +54,11 @@ def generation_data(group: ClosedSubgroup, rank_tol: float = 1e-9,
     the full point sets do, which lets callers build scale
     decompositions without enumerating medium-radius balls.
 
+    ``cap`` bounds the class query of the subgroup's solver: nodes on
+    one level of its search, summed over the 2^q - 1 classes.  Over it,
+    EnumerationBudgetExceeded names the rank and the cap; the class
+    vectors are kept on the solver once found, for any later cap.
+
     Computed once per subgroup object and arguments: the result is kept
     for as long as the subgroup lives and both arrays are read-only.
     Concurrent first calls on one subgroup may each compute it; the
