@@ -307,8 +307,8 @@ def search_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
     basis = np.asarray(basis, dtype=float)
     q = basis.shape[0]
     n = basis.shape[1] if basis.ndim == 2 else 0
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0 <= radius < np.inf:
+        raise ValueError("radius must be finite and nonnegative")
     if q == 0:
         return (np.zeros((1, n)), np.zeros((1, 0), dtype=np.int64),
                 np.zeros(1))
@@ -368,8 +368,15 @@ def _voronoi_walk(normals, rhs):
                 f"Voronoi cell of a rank-{q} lattice: {2 * len(seen)} "
                 f"vertices found, and a frontier of {2 * f} takes "
                 f"{f * q * m2} ratio tests, over the budget of {_WALK_BUDGET}")
-        # column i of -inv leaves facet i and keeps the others tight
-        cross = normals @ np.linalg.inv(normals[frontier])
+        try:  # column i of -inv leaves facet i and keeps the others tight
+            inv = np.linalg.inv(normals[frontier])
+        except np.linalg.LinAlgError:  # classes tied to within rounding
+            bad = frontier[np.argmin(abs(np.linalg.det(normals[frontier])))]
+            raise EnumerationBudgetExceeded(
+                f"Voronoi cell of a rank-{q} lattice: the tight set "
+                f"{bad.tolist()} of its {m2} halfspaces is singular, "
+                f"a near-tie of its classes") from None
+        cross = normals @ inv
         slack = rhs[:, None] - cross @ rhs[frontier][..., None]
         slack[np.arange(f)[:, None], frontier] = np.inf
         # minus the step to each row along each edge: the first met wins
@@ -493,7 +500,8 @@ class LatticeSolver:
         vertex simple, and solved again on the exact ones, so mu carries
         no perturbation.  Raises EnumerationBudgetExceeded when
         the walk is over budget (a generic rank-7 cell has 8! vertices),
-        and at once from rank 9 on; the refusal is kept too, and later
+        at once from rank 9 on, and when classes tied to within rounding
+        leave a tight set singular; the refusal is kept too, and later
         calls raise it again without walking.
         """
         if isinstance(self._cover, EnumerationBudgetExceeded):

@@ -10,21 +10,27 @@ the gaps over dyadic radii with summable weights.
 The gap is a supremum of a distance function over the trace of a
 subgroup in a ball.  From the whole space it is exact: min(R, mu), mu
 the covering radius of the target's lattice part, or R when the target
-is not of full rank.  From a lattice whose ball holds at most 65,536
-points towards a full-rank target, it is the exact maximum over those
-points.  Otherwise sampling the trace densely is hopeless at radius 64,
-so the supremum is computed by certified branch and bound: the group
-structure gives per-direction Lipschitz bounds (stepping by a basis
-vector b changes the distance by at most dist(b, other)), and the
-search stops when the best undecided cell cannot beat the incumbent by
-more than the configured grid resolution.  Towards a full-rank target
-no cell's bound exceeds mu, which bounds every distance to it, so the
-search ends as soon as the incumbent comes within the grid of mu.  The
-open cells are the rows of one table, lattice coefficients and
-continuous coordinates alike, and numpy bounds and splits 256 of them
-at a time, highest bound first; only points inside the ball count.
-The returned value g obeys g_true - grid <= g <= g_true + grid/2, the
-same contract as grid sampling of the continuous directions.
+is not of full rank.  From a lattice whose ball search holds at most
+65,536 nodes on each level towards a full-rank target, it is the exact
+maximum over the ball's points.  Otherwise sampling the trace densely
+is hopeless at radius 64, so the supremum is computed by certified
+branch and bound: the group structure gives per-direction Lipschitz
+bounds (stepping by a basis vector b changes the distance by at most
+dist(b, other)), and the search stops when the best undecided cell
+cannot beat the incumbent by more than the configured grid resolution.
+The incumbent starts at the largest distance of a source basis vector
+inside the ball, and the first round's one cell, the whole box around
+the origin, is bounded by the basis match: each coefficient bound
+times the lesser of its vector's length and distance to the target,
+plus the continuous leak over the ball, so near-identical pairs are
+certified there.  Towards a full-rank target no cell's bound exceeds
+mu, which bounds every distance to it, so the search ends as soon as
+the incumbent comes within the grid of mu.  The open cells are the
+rows of one table, lattice coefficients and continuous coordinates
+alike, and numpy bounds and splits 256 of them at a time, highest
+bound first; only points inside the ball count.  The returned value g
+obeys g_true - grid <= g <= g_true + grid/2, the same contract as grid
+sampling of the continuous directions.
 """
 from __future__ import annotations
 
@@ -112,8 +118,8 @@ def _top(ub, k):
 
 
 def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
-                   cont_lip, ball_radius, grid, stop_above, budget,
-                   probe_points, ub_cap):
+                   cont_lip, ball_radius, grid, stop_above, budget, lo,
+                   ub_cap):
     """Certified supremum of f over a box of lattice coefficients and
     orthonormal continuous coordinates in [-ball_radius, ball_radius],
     intersected with the ball.
@@ -123,6 +129,10 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     step sizes are the row norms.  ``ub_cap`` bounds f everywhere: the
     covering radius mu of a full-rank target's lattice part, or inf for
     other targets and for those whose Voronoi cell is not walked.
+    ``lo`` is the starting incumbent, a value of f attained inside the
+    ball.  The first round's one cell is the whole box, evaluated at
+    the origin where f is 0: when its Lipschitz bound is within 0.45
+    grid of ``lo``, the search returns ``lo`` after one evaluation.
     Returns an attained value lo such that sup <= lo + grid (unless
     ``stop_above`` fired first, in which case lo >= stop_above).
 
@@ -148,12 +158,7 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     inside = ball_radius * (1 + 1e-12) + 1e-12
     fuzz = ball_radius * (1 + 1e-12) + grid_eff
     stop = math.inf if stop_above is None else stop_above
-    lo = 0.0
     evals = 0
-    if probe_points is not None:  # they hold the origin
-        pts = probe_points[np.linalg.norm(probe_points, axis=1) <= inside]
-        evals += pts.shape[0]
-        lo = max(lo, float(np.max(f_batch(pts))))
     half = np.concatenate([int_bounds if qi else [],
                            np.full(pc, float(ball_radius))])
     cell_lo, cell_hi, ub = -half[None], half[None], np.array([math.inf])
@@ -227,45 +232,22 @@ def _exact_gap(src: ClosedSubgroup, prof: _TargetProfile, radius: float,
                nu: np.ndarray, params: MetricParams):
     """Directed gap from a lattice source against a full-rank target,
     exactly: the largest distance to the target over the source's points
-    in the ball, when the ball holds at most 65,536 of them.  ``nu``
-    holds the dual-basis norms of the source lattice, which bound the
-    search box.  Returns None when the ball holds more points."""
+    in the ball, when no level of the ball's search holds more than
+    65,536 nodes; the last level holds every point found, so an overfull
+    ball is refused before its points are made.  ``nu`` holds the
+    dual-basis norms of the source lattice, which bound the search box.
+    Returns None when the search is refused."""
     box = float(np.prod(2 * np.floor(radius * nu + 1e-9) + 1))
     if box > 2 * params.cap:
         return None
     try:
         pts, _, sq = _lattice.search_ball(src.discrete_basis, radius,
-                                          cap=8 * params.cap)
+                                          cap=65_536)
     except EnumerationBudgetExceeded:
         return None
     pts = pts[np.sqrt(sq) <= radius * (1 + 1e-12)]
-    if pts.shape[0] > 65_536:
-        return None
     return max(float(np.max(prof.dist(pts[start:start + 20_000])))
                for start in range(0, pts.shape[0], 20_000))
-
-
-def _lattice_probes(basis: np.ndarray, radius: float) -> np.ndarray:
-    """A few lattice points likely to be extremal inside the ball."""
-    q = basis.shape[0]
-    n = basis.shape[1]
-    pts = [np.zeros(n)]
-    row_norms = np.linalg.norm(basis, axis=1)
-    for i in range(q):
-        if row_norms[i] <= 0:
-            continue
-        kmax = int(radius / row_norms[i])
-        for k in {1, max(1, kmax // 2), kmax}:
-            if k >= 1 and k * row_norms[i] <= radius * (1 + 1e-12):
-                pts.append(k * basis[i])
-                pts.append(-k * basis[i])
-    for i in range(q):
-        for j in range(i + 1, q):
-            for sgn in (1.0, -1.0):
-                v = basis[i] + sgn * basis[j]
-                if np.linalg.norm(v) <= radius * (1 + 1e-12):
-                    pts.append(v)
-    return np.array(pts)
 
 
 def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
@@ -287,7 +269,7 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
     int_basis = src.discrete_basis if qs else None
     int_lips = None
     int_bounds = None
-    probes = None
+    lo = 0.0
     sigma = 0.0
     if ps:
         leak0 = src.continuous_basis \
@@ -297,19 +279,13 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
             if leak0.size else 0.0
     if qs:
         ei = prof.dist(src.discrete_basis)
-        int_lips = np.minimum(ei, np.linalg.norm(src.discrete_basis, axis=1))
+        row_norms = np.linalg.norm(src.discrete_basis, axis=1)
+        int_lips = np.minimum(ei, row_norms)
         nu = _lattice.dual_coefficient_norms(src.discrete_basis)
         int_bounds = np.floor(radius * nu + 1e-9).astype(np.int64)
-        probes = _lattice_probes(src.discrete_basis, radius)
-        # near-identical pairs certify from the basis matching alone:
-        # every source point moves by at most its coefficients times the
-        # per-generator mismatch, plus the continuous leakage
-        lo0 = float(np.max(prof.dist(
-            probes[np.linalg.norm(probes, axis=1)
-                   <= radius * (1 + 1e-12)])))
-        hi0 = float(int_bounds @ int_lips) + ps * radius * sigma
-        if hi0 <= lo0 + 0.45 * params.grid:
-            return lo0
+        # the basis vectors inside the ball are points of the trace
+        lo = float(np.max(ei[row_norms <= radius * (1 + 1e-12)],
+                          initial=0.0))
     ub_cap = math.inf
     if dst.rank == n:
         if ps == 0:
@@ -323,7 +299,7 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
     return _certified_sup(
         prof.dist, int_basis, int_lips, int_bounds,
         src.continuous_basis if ps else None, sigma,
-        radius, params.grid, stop_above, params.cap, probes, ub_cap)
+        radius, params.grid, stop_above, params.cap, lo, ub_cap)
 
 
 def hausdorff_gap(group_a: ClosedSubgroup, group_b: ClosedSubgroup,

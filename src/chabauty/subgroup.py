@@ -165,7 +165,8 @@ def points_in_ball(group: ClosedSubgroup, radius: float,
 
     The continuous part is reported separately by the basis; the points
     of the full subgroup inside the ball are v + d with v in the
-    continuous part and d among the returned points.
+    continuous part and d among the returned points.  Raises ValueError
+    unless the radius is finite and nonnegative.
     """
     pts, _ = _lattice.enumerate_ball(group.discrete_basis, radius, cap)
     return pts

@@ -122,15 +122,16 @@ def brute_gap_mesh(src, dst, radius, h):
 
 def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
                             cont_rows, cont_lip, ball_radius, grid,
-                            stop_above, budget, probe_points, ub_cap):
+                            stop_above, budget, lo, ub_cap):
     """The branch and bound of ``metric._certified_sup`` as it stood
     before the table of open cells replaced it: tuple cells on a heap
     keyed on (-ub, push counter), integer and continuous bounds kept
     apart, one Python loop over each batch.  The module must explore
     the same cells in the same order and return the same value.
 
-    Changed from that version, as in the module: the probes and the
-    cell centres count towards the incumbent only inside the ball,
+    Changed from that version, as in the module: the incumbent starts
+    at ``lo`` instead of the best of a set of probe points, and the cell
+    centres count towards the incumbent only inside the ball,
     |x| <= R(1 + 1e-12) + 1e-12, a centre slides towards the origin
     whenever it lies outside it, and a cell's reach bound is capped at
     that radius instead of 0.45 grid beyond it.  The old code admitted
@@ -147,13 +148,8 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
                      if qi else np.zeros(0))
     cont_rows_norm = (np.linalg.norm(cont_rows, axis=1)
                       if pc else np.zeros(0))
-    lo = 0.0
     evals = 0
 
-    if probe_points is not None:  # they hold the origin
-        pts = probe_points[np.linalg.norm(probe_points, axis=1) <= inside]
-        evals += pts.shape[0]
-        lo = max(lo, float(np.max(f_batch(pts))))
     if stop_above is not None and lo >= stop_above:
         return lo
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chabauty as ch
 
@@ -31,16 +33,6 @@ def test_dual_of_trivial_group():
     assert ch.type_of(d2) == (0, 0)
 
 
-def test_dual_type_formula_and_involution(rng):
-    for _ in range(40):
-        n = int(rng.integers(1, 6))
-        g = random_group(rng, n)
-        p, q = ch.type_of(g)
-        d = ch.dual(g)
-        assert ch.type_of(d) == (n - (p + q), q)
-        assert ch.chabauty_distance(ch.dual(d), g) < 1e-8
-
-
 def test_dual_pairing_is_integral(rng):
     hits = 0
     while hits < 100:
@@ -61,3 +53,39 @@ def test_dual_covolume_reciprocity(rng):
         g = random_group(rng, 2, (0, 2))
         prod = ch.covolume(g) * ch.covolume(ch.dual(g))
         assert prod == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def groups(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    group_type = draw(st.sampled_from(ch.all_types(n)))
+    return ch.random_subgroup(n, group_type,
+                              seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=groups(max_n=5))
+def test_dual_type_formula_and_involution(g):
+    n = g.ambient_dim
+    p, q = ch.type_of(g)
+    d = ch.dual(g)
+    assert ch.type_of(d) == (n - (p + q), q)
+    assert ch.subgroups_equal(ch.dual(d), g, tol=1e-8)
+
+
+def assert_same_norms(a, b):
+    na, nb = ch.norms(a), ch.norms(b)
+    assert np.array_equal(np.isinf(na), np.isinf(nb))
+    finite = np.isfinite(na)
+    np.testing.assert_allclose(nb[finite], na[finite], rtol=1e-9, atol=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(g=groups(), seed=st.integers(0, 2 ** 32 - 1))
+def test_orthogonal_maps_keep_type_and_norms(g, seed):
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.normal(size=(g.ambient_dim,) * 2))
+    h = ch.apply_linear(rot, g)
+    assert ch.type_of(h) == ch.type_of(g)
+    assert_same_norms(g, h)
+    assert_same_norms(ch.dual(g), ch.dual(h))

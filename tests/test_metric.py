@@ -200,6 +200,18 @@ def test_dense_gap_matches_brute_oracle(rng):
         assert oracle - params.grid <= gap <= oracle + params.grid / 2
 
 
+def test_exact_gap_refuses_an_overfull_ball():
+    # 0.2 Z^2 holds about 5,000 points within 8 and 320,000 within 64;
+    # the farthest from Z^2 are at 0.4 from it in both coordinates
+    a = ch.make_subgroup(2, None, [(0.2, 0.0), (0.0, 0.2)])
+    nu = _lattice.dual_coefficient_norms(a.discrete_basis)
+    prof = metric._TargetProfile(ch.standard_subgroup(2, 0, 2))
+    params = metric.DEFAULT_PARAMS
+    assert metric._exact_gap(a, prof, 8.0, nu, params) == \
+        pytest.approx(0.4 * math.sqrt(2), abs=1e-12)
+    assert metric._exact_gap(a, prof, 64.0, nu, params) is None
+
+
 def test_budget_error_states_its_numbers():
     lattice = ch.make_subgroup(2, None, [(1.0, 0.0), (0.3, 1.1)])
     with pytest.raises(EnumerationBudgetExceeded) as info:
@@ -300,6 +312,47 @@ def test_lattice_point_outside_the_ball_does_not_count():
     assert metric._directed_gap(a, b, 1.0, metric.DEFAULT_PARAMS,
                                 None) == 0.0
     assert ch.hausdorff_gap(a, b, 1.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def _first_round_calls(int_lips, lo):
+    calls = []
+
+    def f_batch(xs):
+        calls.append(xs.shape[0])
+        return 1e-3 * np.linalg.norm(xs, axis=1)
+
+    got = metric._certified_sup(
+        f_batch, np.eye(2), np.asarray(int_lips), np.array([2, 2]), None,
+        0.0, 2.0, 0.05, None, 10 ** 6, lo, math.inf)
+    return got, calls
+
+
+def test_first_round_is_the_basis_match_certificate():
+    # the one cell of the first round is the whole box, evaluated at the
+    # origin: its bound 2 * 0.005 + 2 * 0.005 = 0.02 is within 0.45 grid
+    # of the starting value, which it certifies
+    assert _first_round_calls([0.005, 0.005], 0.003) == (0.003, [1])
+    got, calls = _first_round_calls([0.05, 0.05], 0.003)
+    assert calls[:2] == [1, 2] and got >= 0.003
+
+
+def test_near_tie_voronoi_walk_is_a_refusal():
+    # classes of L/2L tied to within rounding leave a tight set of the
+    # walk singular; the walk refuses, and the gap runs without the cap
+    rng = np.random.default_rng(330)
+    d = np.ones(6)
+    d[-1] = 10 ** rng.uniform(1, 4)
+    rot, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    noise = 10 ** rng.uniform(-9, -3) * rng.normal(size=(6, 6))
+    g = ch.make_subgroup(6, None, (np.diag(d) + noise) @ rot)
+    singular = r"rank-6 lattice: the tight set \[.*\] .* is singular"
+    for _ in range(2):
+        with pytest.raises(EnumerationBudgetExceeded, match=singular):
+            subgroup._solver(g).covering_radius()
+    with pytest.raises(EnumerationBudgetExceeded, match=singular):
+        ch.chabauty_distance(ch.standard_subgroup(6, 6, 0), g)
+    source = ch.random_subgroup(6, (2, 4), seed=1)
+    assert ch.chabauty_distance(source, g) == pytest.approx(1.9627, abs=0.01)
 
 
 def _gap_or_message(a, b, radius, params):

@@ -135,6 +135,14 @@ def test_points_in_ball_budget():
         ch.points_in_ball(g, 50.0, cap=1000)
 
 
+@pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+def test_points_in_ball_needs_a_finite_nonnegative_radius(radius):
+    g = ch.standard_subgroup(2, 0, 2)
+    with pytest.raises(ValueError,
+                       match="radius must be finite and nonnegative"):
+        ch.points_in_ball(g, radius)
+
+
 def test_nearest_point_builds_one_solver(monkeypatch):
     builds = []
     real = _lattice.LatticeSolver
