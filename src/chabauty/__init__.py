@@ -10,10 +10,10 @@ from .errors import (BasePointNotAligned, ChabautyError, DimensionMismatch,
                      NotInC1, NotInNeighborhood, NotLattice, NotUnitSystole,
                      OutOfRange, SingularBasePoint, SingularMatrix,
                      Unstable, WrongAmbientDim)
-from .subgroup import (ClosedSubgroup, GroupType, RandomSubgroupParams,
-                       Tolerance, apply_linear, distance_to_subgroup,
-                       make_subgroup, nearest_point, points_in_ball,
-                       random_subgroup, scale, standard_subgroup, type_of)
+from .subgroup import (ClosedSubgroup, GroupType, apply_linear,
+                       distance_to_subgroup, make_subgroup, nearest_point,
+                       points_in_ball, random_subgroup, scale,
+                       standard_subgroup, type_of)
 from .invariants import (INDETERMINATE, covolume, delta_type,
                          discrete_covolume, norms, systole)
 from .duality import dual

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import EnumerationBudgetExceeded
 
+RANK_TOL = 1e-9  # relative size below which a row counts as dependent
 _EPS = 1e-12
 _DELTA = 0.75
 _EXACT = 2.0 ** 52
@@ -38,13 +39,13 @@ _WALK_BUDGET = 2_000_000  # ratio tests on one level of the Voronoi walk
 _JITTER_SEED = 20240817  # fixes the perturbation of that walk
 
 
-def orthonormalize(rows, tol: float = 1e-9) -> np.ndarray:
+def orthonormalize(rows) -> np.ndarray:
     """Gram-Schmidt with rank detection.
 
     Keeps the order of the input rows, so an already orthonormal family
     is returned essentially unchanged.  Rows that are dependent on the
-    previous ones (residual below ``tol`` relative to the row size) are
-    dropped.
+    previous ones (residual below ``RANK_TOL`` relative to the row size)
+    are dropped.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.size == 0:
@@ -58,20 +59,20 @@ def orthonormalize(rows, tol: float = 1e-9) -> np.ndarray:
         for u in out:
             r -= (r @ u) * u
         nr = np.linalg.norm(r)
-        if nr > tol * max(1.0, np.linalg.norm(v)):
+        if nr > RANK_TOL * max(1.0, np.linalg.norm(v)):
             out.append(r / nr)
     if not out:
         return np.zeros((0, rows.shape[1]))
     return np.array(out)
 
 
-def orthonormal_complement(rows, n: int, tol: float = 1e-9) -> np.ndarray:
+def orthonormal_complement(rows, n: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the row span."""
     rows = np.asarray(rows, dtype=float).reshape(-1, n)
     if rows.shape[0] == 0:
         return np.eye(n)
     u, s, vt = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
     return vt[rank:]
 
 
@@ -163,9 +164,10 @@ def lll_reduce(basis) -> np.ndarray:
     return _lll(b, b.shape[-1])
 
 
-def canonical_rows(basis, tol: float = 1e-9) -> np.ndarray:
+def canonical_rows(basis) -> np.ndarray:
     """Sign-normalized representative of a reduced basis: the first
-    coordinate larger than ``tol`` in absolute value is made positive.
+    coordinate larger than ``RANK_TOL`` in absolute value is made
+    positive.
 
     Only signs are touched.  Reordering rows of an LLL-reduced basis
     can break the reduction (the exchange condition constrains
@@ -175,19 +177,19 @@ def canonical_rows(basis, tol: float = 1e-9) -> np.ndarray:
     b = np.array(basis, dtype=float)
     for row in b:
         for x in row:
-            if abs(x) > tol:
+            if abs(x) > RANK_TOL:
                 if x < 0:
                     row *= -1.0
                 break
     return b
 
 
-def reduce_basis(basis, tol: float = 1e-9) -> np.ndarray:
+def reduce_basis(basis) -> np.ndarray:
     """LLL reduction followed by the canonical sign normalization."""
     b = np.asarray(basis, dtype=float)
     if b.shape[0] == 0:
         return b
-    return canonical_rows(lll_reduce(b), tol)
+    return canonical_rows(lll_reduce(b))
 
 
 def basis_from_generators(gens, zero_tol: float):

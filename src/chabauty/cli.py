@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_params(path) -> MetricParams:
     """Metric parameters from a JSON object with some of the keys
     radii, weights, grid and cap; raises OutOfRange on any other key or
-    an invalid value."""
+    an invalid value, such as a boolean or a cap that is not an
+    integer."""
     if not path:
         return MetricParams()
     with open(path, "r", encoding="utf-8") as handle:
@@ -118,13 +119,7 @@ def _load_params(path) -> MetricParams:
         raise OutOfRange(f"unknown metric parameters {unknown}; the keys "
                          "are radii, weights, grid and cap")
     try:
-        kwargs = {key: tuple(float(x) for x in raw[key])
-                  for key in ("radii", "weights") if key in raw}
-        if "grid" in raw:
-            kwargs["grid"] = float(raw["grid"])
-        if "cap" in raw:
-            kwargs["cap"] = int(raw["cap"])
-        return MetricParams(**kwargs)
+        return MetricParams(**raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise OutOfRange(f"invalid metric parameters: {exc}") from exc
 

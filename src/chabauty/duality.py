@@ -11,22 +11,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import _lattice
-from .subgroup import ClosedSubgroup, DEFAULT_TOL, Tolerance, make_subgroup
+from .subgroup import ClosedSubgroup, make_subgroup
 
 
-def dual(group: ClosedSubgroup, tol: Tolerance = DEFAULT_TOL) -> ClosedSubgroup:
+def dual(group: ClosedSubgroup) -> ClosedSubgroup:
     """The dual subgroup, in canonical form."""
     n = group.ambient_dim
     cb = group.continuous_basis
     db = group.discrete_basis
     spanned = np.vstack([cb, db])
-    comp = _lattice.orthonormal_complement(spanned, n, tol.rank_tol)
+    comp = _lattice.orthonormal_complement(spanned, n)
     if db.shape[0] == 0:
-        return make_subgroup(n, comp, None, tol)
+        return make_subgroup(n, comp, None)
     # dualize the lattice inside its own span, in an orthonormal frame
     # of that span to keep the inversion well conditioned
-    w = _lattice.orthonormalize(db, tol.rank_tol)
+    w = _lattice.orthonormalize(db)
     coords = db @ w.T
     dual_coords = np.linalg.inv(coords).T
     dual_rows = dual_coords @ w
-    return make_subgroup(n, comp, dual_rows, tol)
+    return make_subgroup(n, comp, dual_rows)

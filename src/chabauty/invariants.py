@@ -19,6 +19,7 @@ import weakref
 
 import numpy as np
 
+from . import _lattice
 from .errors import WrongAmbientDim
 from .subgroup import ClosedSubgroup, GroupType, _solver
 
@@ -41,12 +42,11 @@ class _Indeterminate:
 INDETERMINATE = _Indeterminate()
 
 
-_generation_memo: "weakref.WeakKeyDictionary[ClosedSubgroup, dict]" = \
+_generation_memo: "weakref.WeakKeyDictionary[ClosedSubgroup, tuple]" = \
     weakref.WeakKeyDictionary()
 
 
-def generation_data(group: ClosedSubgroup, rank_tol: float = 1e-9,
-                    cap: int = 1_000_000):
+def generation_data(group: ClosedSubgroup):
     """Successive norms together with the lattice vectors realizing the
     finite generation radii.
 
@@ -54,26 +54,25 @@ def generation_data(group: ClosedSubgroup, rank_tol: float = 1e-9,
     the full point sets do, which lets callers build scale
     decompositions without enumerating medium-radius balls.
 
-    ``cap`` bounds the class query of the subgroup's solver: nodes on
-    one level of its search, summed over the 2^q - 1 classes.  Over it,
-    EnumerationBudgetExceeded names the rank and the cap; the class
-    vectors are kept on the solver once found, for any later cap.
+    The class query of the subgroup's solver holds at most 10^6 nodes
+    on one level of its search, summed over the 2^q - 1 classes.  Over
+    that, EnumerationBudgetExceeded names the rank and the cap, and
+    nothing is kept.
 
-    Computed once per subgroup object and arguments: the result is kept
-    for as long as the subgroup lives and both arrays are read-only.
-    Concurrent first calls on one subgroup may each compute it; the
-    values are equal."""
-    key = (rank_tol, cap)
-    hit = _generation_memo.get(group, {}).get(key)
+    Computed once per subgroup object: the result is kept for as long
+    as the subgroup lives and both arrays are read-only.  Concurrent
+    first calls on one subgroup may each compute it; the values are
+    equal."""
+    hit = _generation_memo.get(group)
     if hit is None:
-        hit = _generation_data(group, rank_tol, cap)
+        hit = _generation_data(group)
         for arr in hit:
             arr.setflags(write=False)
-        _generation_memo.setdefault(group, {})[key] = hit
+        _generation_memo[group] = hit
     return hit
 
 
-def _generation_data(group: ClosedSubgroup, rank_tol: float, cap: int):
+def _generation_data(group: ClosedSubgroup):
     """The residual pass over the shortest vectors of the classes of
     L/2L, each signed to be the lexicographically smaller of +-v and
     sorted by (norm, lexicographic) with keys rounded to 9 digits, as
@@ -89,7 +88,7 @@ def _generation_data(group: ClosedSubgroup, rank_tol: float, cap: int):
     if q == 0:
         return out, np.zeros((0, n))
     solver = _solver(group)
-    pts = solver.class_vectors(cap) @ solver.basis
+    pts = solver.class_vectors() @ solver.basis
     keys = np.round(pts, 9)
     flip = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)] > 0
     pts[flip] *= -1.0
@@ -98,7 +97,7 @@ def _generation_data(group: ClosedSubgroup, rank_tol: float, cap: int):
     order = np.lexsort([*keys.T[::-1], np.round(sizes, 9)])
     pts, sizes = pts[order], sizes[order]
     resid = pts.copy()
-    thresholds = rank_tol * np.maximum(1.0, sizes)
+    thresholds = _lattice.RANK_TOL * np.maximum(1.0, sizes)
     picked = []
     start = 0
     while len(picked) < q:
@@ -116,18 +115,17 @@ def _generation_data(group: ClosedSubgroup, rank_tol: float, cap: int):
     return out, pts[picked]
 
 
-def norms(group: ClosedSubgroup, rank_tol: float = 1e-9,
-          cap: int = 1_000_000) -> np.ndarray:
+def norms(group: ClosedSubgroup) -> np.ndarray:
     """The n successive norms as an array with values in [0, inf]."""
-    return generation_data(group, rank_tol, cap)[0]
+    return generation_data(group)[0]
 
 
-def systole(group: ClosedSubgroup, rank_tol: float = 1e-9) -> float:
+def systole(group: ClosedSubgroup) -> float:
     """The first norm: length of the shortest nonzero element (inf for
     the trivial group, 0 when there is a continuous direction)."""
     if group.ambient_dim == 0:
         return math.inf
-    return float(norms(group, rank_tol)[0])
+    return float(norms(group)[0])
 
 
 def covolume(group: ClosedSubgroup):
@@ -157,20 +155,17 @@ def discrete_covolume(group: ClosedSubgroup) -> float:
     return float(np.sqrt(max(np.linalg.det(g), 0.0)))
 
 
-def delta_type(group: ClosedSubgroup, delta: float, tol: float = 1e-9,
-               rank_tol: float = 1e-9) -> GroupType | None:
+def delta_type(group: ClosedSubgroup, delta: float) -> GroupType | None:
     """Type of the subgroup as seen at scale delta, or None when some
-    norm sits within ``tol`` of a threshold (the subgroup is not
-    decomposable there); the norms use ``rank_tol``."""
+    norm sits within 1e-9 (relative to the threshold, if larger than 1)
+    of delta or 1 / delta: the subgroup is not decomposable there."""
     if not 0 < delta < 1:
         raise ValueError("the scale must lie in (0, 1)")
-    vals = norms(group, rank_tol)
+    vals = norms(group)
     inv = 1.0 / delta
     for v in vals:
         if not math.isinf(v):
-            if abs(v - delta) <= tol * max(1.0, delta):
-                return None
-            if abs(v - inv) <= tol * max(1.0, inv):
+            if abs(v - delta) <= 1e-9 or abs(v - inv) <= 1e-9 * inv:
                 return None
     p = int(np.sum(vals < delta))
     q = int(np.sum((vals > delta) & (vals < inv)))

@@ -21,9 +21,10 @@ from .errors import (BasePointNotAligned, DimensionMismatch, FlagsTooFar,
                      InconsistentData, InvalidPair, InvalidStratum,
                      NotDecomposable, NotInNeighborhood, OutOfRange)
 from .invariants import delta_type, generation_data, norms
-from .subgroup import (ClosedSubgroup, DEFAULT_TOL, GroupType, Tolerance,
-                       make_subgroup, nearest_point, scale, standard_subgroup,
-                       type_of)
+from .subgroup import (ClosedSubgroup, GroupType, make_subgroup,
+                       nearest_point, scale, standard_subgroup, type_of)
+
+_LINK_TOL = 1e-9  # how far a link point may sit from the link
 
 # ---------------------------------------------------------------------------
 # flags and the aligning rotation
@@ -79,17 +80,17 @@ def flag_gap(flag: LinearDecomposition,
 
 
 def trivialisation(flag: LinearDecomposition,
-                   base_flag: LinearDecomposition,
-                   max_gap: float = 0.7) -> Trivialisation:
+                   base_flag: LinearDecomposition) -> Trivialisation:
     """The orthogonal polar alignment sending each block of ``flag``
     onto the matching block of ``base_flag``.
 
     The sum of projector products base_i @ flag_i maps each flag block
     into the matching base block exactly, and taking its orthogonal
     polar factor yields a rotation with the same block mapping that is
-    the identity when the flags coincide and varies smoothly.
+    the identity when the flags coincide and varies smoothly.  Raises
+    FlagsTooFar when some blockwise principal angle has sine above 0.7.
     """
-    if flag_gap(flag, base_flag) > max_gap:
+    if flag_gap(flag, base_flag) > 0.7:
         raise FlagsTooFar("blockwise principal angles exceed the bound")
     n = flag.ambient_dim
     m = np.zeros((n, n))
@@ -104,8 +105,8 @@ def trivialisation(flag: LinearDecomposition,
     return Trivialisation(u @ vt)
 
 
-def linear_decomposition(group: ClosedSubgroup, delta: float,
-                         rank_tol: float = 1e-9) -> LinearDecomposition:
+def linear_decomposition(group: ClosedSubgroup,
+                         delta: float) -> LinearDecomposition:
     """Blocks spanned by the subgroup at scale delta: fine block from
     the elements below delta together with the continuous part, medium
     block from the elements below 1/delta projected off the fine block,
@@ -114,30 +115,29 @@ def linear_decomposition(group: ClosedSubgroup, delta: float,
     The spans are built from the vectors realizing the generation
     radii, which span the same flag as the full point sets without any
     medium-radius enumeration."""
-    dt = delta_type(group, delta, rank_tol=rank_tol)
+    dt = delta_type(group, delta)
     if dt is None:
         raise NotDecomposable(
             f"some norm sits on the scale threshold {delta} or {1 / delta}")
     phat, qhat = dt
     n = group.ambient_dim
-    vals, realizers = generation_data(group, rank_tol)
+    vals, realizers = generation_data(group)
     p0 = group.continuous_dim
     fin = vals[p0:p0 + realizers.shape[0]]
     rows = [group.continuous_basis]
     if np.any(fin < delta):
         rows.append(realizers[fin < delta])
-    fine = _lattice.orthonormalize(np.vstack(rows), rank_tol)
+    fine = _lattice.orthonormalize(np.vstack(rows))
     if fine.shape[0] != phat:
         raise InconsistentData("fine block dimension mismatch")
     medium = np.zeros((0, n))
     below = realizers[fin < 1.0 / delta] if realizers.size else realizers
     if below.shape[0]:
         proj = below - (below @ fine.T) @ fine
-        medium = _lattice.orthonormalize(proj, rank_tol)
+        medium = _lattice.orthonormalize(proj)
     if medium.shape[0] != qhat:
         raise InconsistentData("medium block dimension mismatch")
-    coarse = _lattice.orthonormal_complement(
-        np.vstack([fine, medium]), n, rank_tol)
+    coarse = _lattice.orthonormal_complement(np.vstack([fine, medium]), n)
     return LinearDecomposition(fine, medium, coarse)
 
 
@@ -172,13 +172,12 @@ class LocalDecomposition:
         return self.coarse_basis.shape[0]
 
 
-def _norm_budget(fine_part: ClosedSubgroup, coarse_rows: np.ndarray,
-                 rank_tol: float = 1e-9):
+def _norm_budget(fine_part: ClosedSubgroup, coarse_rows: np.ndarray):
     """The last norm np of the fine part, the first norm n1 of the
     coarse lattice (inf when there is none) and the budget np + 1 / n1.
     n1 is the shortest of the coarse lattice's class vectors."""
     p = fine_part.ambient_dim
-    np_fine = float(norms(fine_part, rank_tol)[p - 1]) if p else 0.0
+    np_fine = float(norms(fine_part)[p - 1]) if p else 0.0
     n1 = np.inf
     if coarse_rows.shape[0]:
         solver = _lattice.LatticeSolver(coarse_rows)
@@ -187,19 +186,19 @@ def _norm_budget(fine_part: ClosedSubgroup, coarse_rows: np.ndarray,
     return np_fine, n1, np_fine + 1.0 / n1
 
 
-def _integer_coords(points: np.ndarray, basis: np.ndarray,
-                    tol: float = 1e-6) -> np.ndarray:
+def _integer_coords(points: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Integer coordinates of lattice points in a full-rank row basis."""
     raw = points @ np.linalg.inv(basis)
     snapped = np.round(raw)
-    if np.max(np.abs(raw - snapped), initial=0.0) > tol:
+    if np.max(np.abs(raw - snapped), initial=0.0) > 1e-6:
         raise InconsistentData("points are not integer combinations")
     return snapped.astype(np.int64)
 
 
-def _check_aligned(base: ClosedSubgroup, tol: float) -> GroupType:
+def _check_aligned(base: ClosedSubgroup) -> GroupType:
     p, q = type_of(base)
     ref = standard_subgroup(base.ambient_dim, p, q)
+    tol = 10 * _lattice.RANK_TOL
     if (np.max(np.abs(base.continuous_basis - ref.continuous_basis),
                initial=0.0) > tol
             or np.max(np.abs(base.discrete_basis - ref.discrete_basis),
@@ -211,7 +210,7 @@ def _check_aligned(base: ClosedSubgroup, tol: float) -> GroupType:
 
 
 def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
-                        delta: float, tol: Tolerance = DEFAULT_TOL):
+                        delta: float):
     """Full decomposition of ``group`` in the scale-delta neighborhood
     of the aligned base point; returns (flag, data).
 
@@ -224,15 +223,15 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
         raise DimensionMismatch("group and base live in different spaces")
     if not 0 < delta < 1:
         raise ValueError("the scale must lie in (0, 1)")
-    p, q = _check_aligned(base, tol.rank_tol * 10)
+    p, q = _check_aligned(base)
     n = group.ambient_dim
-    dt = delta_type(group, delta, rank_tol=tol.rank_tol)
+    dt = delta_type(group, delta)
     if dt is None:
         raise NotInNeighborhood(f"not decomposable at scale {delta}")
     if dt != (p, q):
         raise NotInNeighborhood(
             f"scale type {tuple(dt)} does not match the base type {(p, q)}")
-    lin = linear_decomposition(group, delta, tol.rank_tol)
+    lin = linear_decomposition(group, delta)
     base_flag = standard_flag(n, p, q)
     if flag_gap(lin, base_flag) >= delta:
         raise NotInNeighborhood("flag is not delta-close to the base flag")
@@ -279,11 +278,11 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
     if fine_rows.shape[0] and np.max(np.abs(fine_rows[:, p:]),
                                      initial=0.0) > 1e-8:
         raise InconsistentData("fine lattice escapes the fine block")
-    fine_part = make_subgroup(p, cont_rot[:, :p], fine_rows[:, :p], tol)
+    fine_part = make_subgroup(p, cont_rot[:, :p], fine_rows[:, :p])
     if fine_part.rank != p:
         raise NotInNeighborhood("fine block is not of maximal rank")
 
-    budget = _norm_budget(fine_part, coarse_rows, tol.rank_tol)[2]
+    budget = _norm_budget(fine_part, coarse_rows)[2]
     if budget >= delta:
         raise NotInNeighborhood(
             f"fine/coarse norm budget {budget:.6g} is not below {delta}")
@@ -336,12 +335,11 @@ class Membership:
 
 
 def in_scale_neighborhood(group: ClosedSubgroup, base: ClosedSubgroup,
-                          delta: float,
-                          tol: Tolerance = DEFAULT_TOL) -> Membership:
+                          delta: float) -> Membership:
     """Membership in the scale-delta neighborhood of the aligned base
     point; reports the first failing condition on False."""
     try:
-        local_decomposition(group, base, delta, tol)
+        local_decomposition(group, base, delta)
     except (NotInNeighborhood, NotDecomposable, InconsistentData) as exc:
         return Membership(False, str(exc))
     return Membership(True)
@@ -355,8 +353,8 @@ def _embed(rows: np.ndarray, n: int, start: int) -> np.ndarray:
     return out
 
 
-def reconstruct(lin: LinearDecomposition, loc: LocalDecomposition,
-                tol: Tolerance = DEFAULT_TOL) -> ClosedSubgroup:
+def reconstruct(lin: LinearDecomposition,
+                loc: LocalDecomposition) -> ClosedSubgroup:
     """The unique subgroup whose decomposition data is (lin, loc)."""
     p, q = lin.block_type
     n = lin.ambient_dim
@@ -383,27 +381,28 @@ def reconstruct(lin: LinearDecomposition, loc: LocalDecomposition,
                            + _embed(loc.coarse_offset_fine, n, 0)
                            + _embed(loc.coarse_offset_medium, n, p))
     disc = np.vstack(disc_blocks) if disc_blocks else np.zeros((0, n))
-    return make_subgroup(n, cont @ tau, disc @ tau, tol)
+    return make_subgroup(n, cont @ tau, disc @ tau)
 
 
 # ---------------------------------------------------------------------------
 # link geometry
 
 
-def on_link(group: ClosedSubgroup, base: ClosedSubgroup, delta: float,
-            tol: float = 1e-9) -> bool:
+def on_link(group: ClosedSubgroup, base: ClosedSubgroup,
+            delta: float) -> bool:
     """Is the subgroup on the link of the base point: base flag, base
-    medium lattice, and fine/coarse norm budget exactly delta/2."""
+    medium lattice, and fine/coarse norm budget exactly delta/2, each
+    within ``_LINK_TOL``."""
     lin, loc = local_decomposition(group, base, delta)
     p, q = lin.block_type
-    if flag_gap(lin, standard_flag(group.ambient_dim, p, q)) > tol:
+    if flag_gap(lin, standard_flag(group.ambient_dim, p, q)) > _LINK_TOL:
         return False
-    if q and np.max(np.abs(loc.medium_basis - np.eye(q))) > tol:
+    if q and np.max(np.abs(loc.medium_basis - np.eye(q))) > _LINK_TOL:
         return False
-    if np.max(np.abs(loc.medium_offset), initial=0.0) > tol:
+    if np.max(np.abs(loc.medium_offset), initial=0.0) > _LINK_TOL:
         return False
     budget = _norm_budget(loc.fine_part, loc.coarse_basis)[2]
-    return abs(budget - delta / 2.0) <= tol * max(1.0, delta)
+    return abs(budget - delta / 2.0) <= _LINK_TOL
 
 
 def cone_map(t: float, lin: LinearDecomposition,
@@ -432,8 +431,7 @@ def cone_map(t: float, lin: LinearDecomposition,
 
 
 def bundle_projection(lin: LinearDecomposition, loc: LocalDecomposition,
-                      delta: float, require_link: bool = True,
-                      tol: float = 1e-9):
+                      delta: float, require_link: bool = True):
     """Project a link point to its normalized fine and coarse shapes
     plus the position along the join: (fine normalized to p-th norm 1,
     coarse normalized to first norm 1, lambda in [0, 1])."""
@@ -445,7 +443,7 @@ def bundle_projection(lin: LinearDecomposition, loc: LocalDecomposition,
             "plain cones, not bundles")
     np_fine, n1c, budget = _norm_budget(loc.fine_part, loc.coarse_basis)
     if require_link:
-        if abs(budget - delta / 2.0) > max(tol, 1e-9) * max(1.0, delta):
+        if abs(budget - delta / 2.0) > _LINK_TOL * max(1.0, delta):
             raise NotInNeighborhood("the point is not on the link")
     fine_norm = scale(loc.fine_part, np.inf) if np_fine == 0 \
         else scale(loc.fine_part, 1.0 / np_fine)

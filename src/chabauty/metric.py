@@ -35,6 +35,7 @@ sampling of the continuous directions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -66,8 +67,8 @@ class MetricParams:
     cap: int = 1_000_000
 
     def __post_init__(self):
-        r = tuple(float(x) for x in self.radii)
-        w = tuple(float(x) for x in self.weights)
+        r = tuple(_real(x, "radii") for x in self.radii)
+        w = tuple(_real(x, "weights") for x in self.weights)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "weights", w)
         if len(r) != len(w):
@@ -76,10 +77,19 @@ class MetricParams:
             raise ValueError("radii must be strictly increasing")
         if not all(0 < x < math.inf for x in r + w):
             raise ValueError("radii and weights must be positive and finite")
-        if not 0 < self.grid < math.inf:
+        if not 0 < _real(self.grid, "grid") < math.inf:
             raise ValueError("grid must be positive and finite")
-        if not self.cap >= 1:
-            raise ValueError("cap must be positive")
+        if isinstance(self.cap, bool) \
+                or not isinstance(self.cap, numbers.Integral) or self.cap < 1:
+            raise ValueError(
+                f"cap must be a positive integer, got {self.cap!r}")
+
+
+def _real(x, what: str) -> float:
+    """``x`` as a float; a boolean or a non-real value raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{what}: expected a real number, got {x!r}")
+    return float(x)
 
 
 DEFAULT_PARAMS = MetricParams()
@@ -228,18 +238,13 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     return lo
 
 
-def _exact_gap(src: ClosedSubgroup, prof: _TargetProfile, radius: float,
-               nu: np.ndarray, params: MetricParams):
+def _exact_gap(src: ClosedSubgroup, prof: _TargetProfile, radius: float):
     """Directed gap from a lattice source against a full-rank target,
     exactly: the largest distance to the target over the source's points
     in the ball, when no level of the ball's search holds more than
     65,536 nodes; the last level holds every point found, so an overfull
-    ball is refused before its points are made.  ``nu`` holds the
-    dual-basis norms of the source lattice, which bound the search box.
-    Returns None when the search is refused."""
-    box = float(np.prod(2 * np.floor(radius * nu + 1e-9) + 1))
-    if box > 2 * params.cap:
-        return None
+    ball is refused before its points are made.  Returns None when the
+    search is refused."""
     try:
         pts, _, sq = _lattice.search_ball(src.discrete_basis, radius,
                                           cap=65_536)
@@ -289,7 +294,7 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
     ub_cap = math.inf
     if dst.rank == n:
         if ps == 0:
-            value = _exact_gap(src, prof, radius, nu, params)
+            value = _exact_gap(src, prof, radius)
             if value is not None:
                 return value
         try:  # the covering radius bounds every distance to the target
@@ -380,8 +385,7 @@ class LimitReport:
 
 
 def classify_limit(family: Callable[[float], ClosedSubgroup],
-                   t_sequence: Sequence[float], delta: float,
-                   tol: float = 1e-9) -> LimitReport:
+                   t_sequence: Sequence[float], delta: float) -> LimitReport:
     """Scale type of a one-parameter family at the end of a parameter
     sweep; raises Unstable if the type keeps changing over the final
     three samples."""
@@ -390,7 +394,7 @@ def classify_limit(family: Callable[[float], ClosedSubgroup],
         raise ValueError("need at least three parameter samples")
     groups = [family(t) for t in ts]
     traces = np.array([norms(g) for g in groups])
-    types = [delta_type(g, delta, tol) for g in groups]
+    types = [delta_type(g, delta) for g in groups]
     tail = types[-3:]
     if any(t is None for t in tail) or len(set(tail)) != 1:
         raise Unstable(f"scale type did not stabilize: {types}")

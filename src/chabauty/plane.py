@@ -26,6 +26,7 @@ from .subgroup import ClosedSubgroup, make_subgroup, nearest_point, scale
 INFINITY_POINT = complex(math.inf, 0.0)
 
 _CORNER = cmath.exp(1j * math.pi / 3)
+_TOL = 1e-9  # how far a norm, a covolume or a base point may miss its value
 
 
 def _require_plane(group: ClosedSubgroup):
@@ -42,14 +43,13 @@ def _lattice_from_complex(*gens: complex) -> ClosedSubgroup:
     return make_subgroup(2, None, rows)
 
 
-def normalize_covolume(group: ClosedSubgroup,
-                       tol: float = 1e-9) -> ClosedSubgroup:
+def normalize_covolume(group: ClosedSubgroup) -> ClosedSubgroup:
     """Rescale a unit-systole subgroup to unit covolume.
 
     Lattices scale by covolume^(-1/2); a rank-one discrete subgroup
     degenerates to its spanned line (the scale-zero convention)."""
     _require_plane(group)
-    if abs(systole(group) - 1.0) > tol:
+    if abs(systole(group) - 1.0) > _TOL:
         raise NotUnitSystole("the shortest nonzero vector must have norm 1")
     p, q = group.group_type
     if (p, q) == (0, 2):
@@ -59,8 +59,7 @@ def normalize_covolume(group: ClosedSubgroup,
     raise NotUnitSystole("unit-systole subgroups are lattices or rank one")
 
 
-def suspension_map(group: ClosedSubgroup, t: float,
-                   tol: float = 1e-9) -> ClosedSubgroup:
+def suspension_map(group: ClosedSubgroup, t: float) -> ClosedSubgroup:
     """Climb the covolume cone from a unit-covolume lattice or a line.
 
     A lattice of systole s maps to (t/s + 1) times itself, a line
@@ -72,7 +71,7 @@ def suspension_map(group: ClosedSubgroup, t: float,
         raise ValueError("the cone parameter must lie in [0, inf]")
     p, q = group.group_type
     if (p, q) == (0, 2):
-        if abs(covolume(group) - 1.0) > tol:
+        if abs(covolume(group) - 1.0) > _TOL:
             raise NotInC1("expected a unit-covolume lattice or a line")
         if math.isinf(t):
             return make_subgroup(2, None, None)
@@ -98,7 +97,7 @@ class ReducedForm:
     z: complex
 
 
-def _canonicalize(theta: float, z: complex, tol: float):
+def _canonicalize(theta: float, z: complex):
     """Push (theta, z) to the canonical fundamental-domain
     representative: Re z in [-1/2, 1/2), except on the unit circle
     where Re z >= 0 and corner ties resolve to exp(i pi/3)."""
@@ -106,16 +105,16 @@ def _canonicalize(theta: float, z: complex, tol: float):
         z = -z  # the pair generates the same lattice
     shift = math.floor(z.real + 0.5)
     z -= shift
-    on_circle = abs(abs(z) - 1.0) <= 10 * tol
-    if on_circle and z.real < -tol:
+    on_circle = abs(abs(z) - 1.0) <= 10 * _TOL
+    if on_circle and z.real < -_TOL:
         theta = (theta - cmath.phase(z)) % math.pi
         z = -z.conjugate()
-    if not on_circle and z.real >= 0.5 - tol:
+    if not on_circle and z.real >= 0.5 - _TOL:
         z -= 1.0
     return theta % math.pi, z
 
 
-def reduce_lattice(group: ClosedSubgroup, tol: float = 1e-9) -> ReducedForm:
+def reduce_lattice(group: ClosedSubgroup) -> ReducedForm:
     """Canonical (theta, z) of a unit-systole lattice.
 
     The realizers of the two successive norms are a shortest vector a
@@ -128,32 +127,34 @@ def reduce_lattice(group: ClosedSubgroup, tol: float = 1e-9) -> ReducedForm:
     if group.group_type != (0, 2):
         raise NotLattice("expected a rank-two lattice of the plane")
     vals, realizers = generation_data(group)
-    if abs(vals[0] - 1.0) > tol:
+    if abs(vals[0] - 1.0) > _TOL:
         raise NotUnitSystole("the shortest vector must have norm 1")
     a, w = _as_complex(realizers)
-    theta, z = _canonicalize((-cmath.phase(a)) % math.pi, complex(w / a), tol)
+    theta, z = _canonicalize((-cmath.phase(a)) % math.pi, complex(w / a))
     for point, turn in ((_CORNER, math.pi / 3), (1j, math.pi / 2)):
-        if abs(z - point) <= 10 * tol:
+        if abs(z - point) <= 10 * _TOL:
             theta %= turn
     return ReducedForm(theta, z)
 
 
-def base_point(group: ClosedSubgroup, tol: float = 1e-9) -> complex:
+def base_point(group: ClosedSubgroup) -> complex:
     """Coordinate of a unit-systole subgroup on the glued sphere of
     base points: the canonical z for lattices, infinity for rank-one
     subgroups.  Rotated copies land on the same point."""
     _require_plane(group)
     p, q = group.group_type
     if (p, q) == (0, 1):
-        if abs(systole(group) - 1.0) > tol:
+        if abs(systole(group) - 1.0) > _TOL:
             raise NotUnitSystole("the shortest vector must have norm 1")
         return INFINITY_POINT
-    return reduce_lattice(group, tol).z
+    return reduce_lattice(group).z
 
 
-def stabilizer_order(group: ClosedSubgroup, tol: float = 1e-6) -> int:
+def stabilizer_order(group: ClosedSubgroup) -> int:
     """Order of the stabilizer in the rotations modulo +-1: 3 for
-    triangular lattices, 2 for square lattices, 1 otherwise."""
+    triangular lattices, 2 for square lattices, 1 otherwise.  The
+    systole and the rotated basis may miss by up to 1e-6."""
+    tol = 1e-6
     _require_plane(group)
     if abs(systole(group) - 1.0) > tol:
         raise NotUnitSystole("the shortest vector must have norm 1")
@@ -200,7 +201,7 @@ def cross_section_phase(u: complex) -> float:
     return (math.pi / 2 - theta) * (1.0 - max(rho, 0.0) / width)
 
 
-def cross_section(u: complex, tol: float = 1e-9) -> ClosedSubgroup:
+def cross_section(u: complex) -> ClosedSubgroup:
     """The subgroup e^(i f(u)) (Z + u Z) over a nonsingular base point.
 
     Accepts any fundamental-domain representative of the point,
@@ -211,8 +212,8 @@ def cross_section(u: complex, tol: float = 1e-9) -> ClosedSubgroup:
     u = complex(u)
     if abs(u) < 1.0 - 1e-6 or abs(u.real) > 0.5 + 1e-6:
         raise ValueError("base point lies outside the fundamental domain")
-    _, z = _canonicalize(0.0, u, tol)
-    if abs(z - 1j) <= 10 * tol or abs(z - _CORNER) <= 10 * tol:
+    _, z = _canonicalize(0.0, u)
+    if abs(z - 1j) <= 10 * _TOL or abs(z - _CORNER) <= 10 * _TOL:
         raise SingularBasePoint(
             "the cross-section is undefined at the two singular points")
     phase = cmath.exp(1j * cross_section_phase(u))

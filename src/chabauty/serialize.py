@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .invariants import INDETERMINATE
-from .subgroup import ClosedSubgroup, DEFAULT_TOL, Tolerance, make_subgroup
+from .subgroup import ClosedSubgroup, make_subgroup
 
 
 def subgroup_to_dict(group: ClosedSubgroup) -> dict:
@@ -29,20 +29,19 @@ def subgroup_to_dict(group: ClosedSubgroup) -> dict:
     }
 
 
-def subgroup_from_dict(data: dict,
-                       tol: Tolerance = DEFAULT_TOL) -> ClosedSubgroup:
+def subgroup_from_dict(data: dict) -> ClosedSubgroup:
     try:
         n = int(data["ambient_dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"bad subgroup object: {exc}") from exc
     return make_subgroup(n,
                          data.get("continuous_basis") or [],
-                         data.get("discrete_basis") or [], tol)
+                         data.get("discrete_basis") or [])
 
 
-def load_subgroup(path, tol: Tolerance = DEFAULT_TOL) -> ClosedSubgroup:
+def load_subgroup(path) -> ClosedSubgroup:
     with open(path, "r", encoding="utf-8") as handle:
-        return subgroup_from_dict(json.load(handle), tol)
+        return subgroup_from_dict(json.load(handle))
 
 
 def format_float(x: float) -> str:

@@ -28,21 +28,6 @@ class GroupType(NamedTuple):
     q: int
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numeric threshold ``rank_tol`` for rank decisions during
-    canonicalization."""
-
-    rank_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.rank_tol <= 0:
-            raise ValueError("rank_tol must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
-
-
 @dataclass(frozen=True, eq=False)
 class ClosedSubgroup:
     """Canonical form of a closed subgroup of R^n.
@@ -91,6 +76,11 @@ class ClosedSubgroup:
         return f"ClosedSubgroup(n={self.ambient_dim}, type=({p},{q}))"
 
 
+def _finite(rows: np.ndarray) -> bool:
+    """Are all entries and squared row norms of ``rows`` finite?"""
+    return bool(np.isfinite(np.einsum("ij,ij->i", rows, rows)).all())
+
+
 def _as_rows(vectors, n: int, what: str) -> np.ndarray:
     if vectors is None:
         return np.zeros((0, n))
@@ -105,8 +95,8 @@ def _as_rows(vectors, n: int, what: str) -> np.ndarray:
     return arr
 
 
-def make_subgroup(n: int, continuous_gens=None, discrete_gens=None,
-                  tol: Tolerance = DEFAULT_TOL) -> ClosedSubgroup:
+def make_subgroup(n: int, continuous_gens=None,
+                  discrete_gens=None) -> ClosedSubgroup:
     """Canonical closed subgroup generated by the given vectors.
 
     The continuous span is orthonormalized; discrete generators are
@@ -115,22 +105,22 @@ def make_subgroup(n: int, continuous_gens=None, discrete_gens=None,
     otherwise the generated group would wind densely in some direction
     (or carry an undetectable redundancy) and NonClosedInput is raised.
     A NaN or infinite entry, or a generator whose squared norm
-    overflows, raises NonFiniteInput.
+    overflows, raises NonFiniteInput.  Rank decisions read
+    ``_lattice.RANK_TOL``.
     """
     if n < 0:
         raise DimensionMismatch("ambient dimension must be nonnegative")
     cont = _as_rows(continuous_gens, n, "continuous generators")
     disc = _as_rows(discrete_gens, n, "discrete generators")
-    if not all(np.isfinite(np.einsum("ij,ij->i", a, a)).all()
-               for a in (cont, disc)):
+    if not (_finite(cont) and _finite(disc)):
         raise NonFiniteInput(
             "generators must have finite entries and squared norms")
-    cbasis = _lattice.orthonormalize(cont, tol.rank_tol)
+    cbasis = _lattice.orthonormalize(cont)
     if disc.shape[0]:
         proj = disc - (disc @ cbasis.T) @ cbasis
         sizes = np.linalg.norm(proj, axis=1)
         ref = np.maximum(1.0, np.linalg.norm(disc, axis=1))
-        proj = proj[sizes > tol.rank_tol * ref]
+        proj = proj[sizes > _lattice.RANK_TOL * ref]
     else:
         proj = disc
     if proj.shape[0]:
@@ -138,10 +128,10 @@ def make_subgroup(n: int, continuous_gens=None, discrete_gens=None,
             raise NonClosedInput(
                 "more discrete generators than the complement can carry")
         sv = np.linalg.svd(proj, compute_uv=False)
-        if sv[-1] <= tol.rank_tol * max(1.0, sv[0]):
+        if sv[-1] <= _lattice.RANK_TOL * max(1.0, sv[0]):
             raise NonClosedInput(
                 "projected discrete generators are dependent over the reals")
-        dbasis = _lattice.reduce_basis(proj, tol.rank_tol)
+        dbasis = _lattice.reduce_basis(proj)
     else:
         dbasis = np.zeros((0, n))
     return ClosedSubgroup(n, cbasis, dbasis)
@@ -217,28 +207,28 @@ def distance_to_subgroup(x, group: ClosedSubgroup) -> float:
     return float(np.linalg.norm(x - nearest_point(group, x)))
 
 
-def apply_linear(matrix, group: ClosedSubgroup,
-                 tol: Tolerance = DEFAULT_TOL) -> ClosedSubgroup:
+def apply_linear(matrix, group: ClosedSubgroup) -> ClosedSubgroup:
     """Canonical form of the image under an invertible linear map."""
     g = np.asarray(matrix, dtype=float)
     n = group.ambient_dim
     if g.shape != (n, n):
         raise DimensionMismatch(f"expected a {n}x{n} matrix, got {g.shape}")
     sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] <= tol.rank_tol * max(1.0, sv[0]):
+    if sv[-1] <= _lattice.RANK_TOL * max(1.0, sv[0]):
         raise SingularMatrix("matrix is singular within tolerance")
     return make_subgroup(n,
                          group.continuous_basis @ g.T,
-                         group.discrete_basis @ g.T, tol)
+                         group.discrete_basis @ g.T)
 
 
-def scale(group: ClosedSubgroup, t: float,
-          tol: Tolerance = DEFAULT_TOL) -> ClosedSubgroup:
+def scale(group: ClosedSubgroup, t: float) -> ClosedSubgroup:
     """Homothety t * group, with the degenerate conventions:
 
     t = inf returns the continuous part, t = 0 returns the full span.
+    A complex or NaN factor, of any numeric type, raises ValueError, and
+    a lattice vector whose squared norm overflows raises NonFiniteInput.
     """
-    if isinstance(t, complex) or (isinstance(t, float) and math.isnan(t)):
+    if isinstance(t, (complex, np.complexfloating)) or math.isnan(t):
         raise ValueError("scale factor must be a real number in [0, inf]")
     if t < 0:
         raise ValueError("scale factor must be nonnegative")
@@ -247,27 +237,19 @@ def scale(group: ClosedSubgroup, t: float,
         return ClosedSubgroup(n, group.continuous_basis, np.zeros((0, n)))
     if t == 0:
         span = _lattice.orthonormalize(
-            np.vstack([group.continuous_basis, group.discrete_basis]),
-            tol.rank_tol)
+            np.vstack([group.continuous_basis, group.discrete_basis]))
         return ClosedSubgroup(n, span, np.zeros((0, n)))
-    return ClosedSubgroup(n, group.continuous_basis,
-                          t * group.discrete_basis)
+    with np.errstate(over="ignore"):
+        basis = t * group.discrete_basis
+    if not _finite(basis):
+        raise NonFiniteInput(
+            f"scaling by {t} overflows the squared norm of a lattice vector")
+    return ClosedSubgroup(n, group.continuous_basis, basis)
 
 
-@dataclass(frozen=True)
-class RandomSubgroupParams:
-    """Controls for random generation: reduced basis norms land inside
-    [min_norm, max_norm]."""
-
-    min_norm: float = 0.6
-    max_norm: float = 2.4
-    max_tries: int = 64
-
-
-def random_subgroup(n: int, group_type, seed: int,
-                    params: RandomSubgroupParams = RandomSubgroupParams()
-                    ) -> ClosedSubgroup:
-    """Deterministic random canonical subgroup of the requested type."""
+def random_subgroup(n: int, group_type, seed: int) -> ClosedSubgroup:
+    """Deterministic random canonical subgroup of the requested type;
+    the reduced basis vectors have norms in [0.6, 2.4]."""
     p, q = int(group_type[0]), int(group_type[1])
     if p < 0 or q < 0 or p + q > n:
         raise InvalidType(f"type ({p},{q}) does not fit in dimension {n}")
@@ -280,8 +262,8 @@ def random_subgroup(n: int, group_type, seed: int,
     if q == 0:
         return ClosedSubgroup(n, cont, np.zeros((0, n)))
     comp = frame[p:]
-    lo, hi = params.min_norm, params.max_norm
-    for _ in range(params.max_tries):
+    lo, hi = 0.6, 2.4
+    for _ in range(64):
         coeff = rng.normal(size=(q, n - p))
         coeff = _lattice.lll_reduce(coeff) if q > 1 else coeff
         sizes = np.linalg.norm(coeff, axis=1)
@@ -292,4 +274,4 @@ def random_subgroup(n: int, group_type, seed: int,
         basis = _lattice.reduce_basis(s * coeff @ comp)
         return ClosedSubgroup(n, cont, basis)
     raise EnumerationBudgetExceeded(
-        "could not draw a basis with norms in the configured range")
+        "could not draw a basis with norms in [0.6, 2.4] in 64 tries")

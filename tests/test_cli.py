@@ -160,7 +160,10 @@ def test_params_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("raw, named", [({"grid": -1}, "grid"),
-                                        ({"gird": 0.5}, "gird")])
+                                        ({"gird": 0.5}, "gird"),
+                                        ({"cap": 2.5}, "cap"),
+                                        ({"cap": True}, "cap"),
+                                        ({"grid": True}, "grid")])
 def test_bad_params_file_is_a_domain_error(tmp_path, capsys, raw, named):
     params = tmp_path / "params.json"
     params.write_text(json.dumps(raw))

@@ -216,7 +216,7 @@ def test_generation_data_budget_failure_not_cached():
     g = ch.standard_subgroup(3, 0, 3)  # 7 classes of L/2L, over the cap
     for _ in range(2):
         with pytest.raises(EnumerationBudgetExceeded):
-            generation_data(g, cap=5)
+            subgroup._solver(g).class_vectors(cap=5)
     np.testing.assert_allclose(ch.norms(g), [1.0, 1.0, 1.0])
 
 

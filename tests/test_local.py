@@ -147,13 +147,6 @@ def test_local_decomposition_base_point():
                                atol=1e-12)
 
 
-def test_local_decomposition_uses_one_rank_tolerance():
-    g = ch.make_subgroup(3, None, [(1, 0, 0), (0, 1, 0), (0.2, 0.3, 50.0)])
-    base = ch.standard_subgroup(3, 0, 2)
-    ch.local_decomposition(g, base, 0.1, ch.Tolerance(rank_tol=1e-7))
-    assert list(invariants._generation_memo[g]) == [(1e-07, 1000000)]
-
-
 def test_local_decomposition_coarse_offsets():
     base = ch.standard_subgroup(3, 0, 2)
     g = ch.make_subgroup(3, None, [(1, 0, 0), (0, 1, 0), (0.2, 0.3, 50.0)])

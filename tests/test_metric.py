@@ -190,9 +190,7 @@ def test_dense_gap_matches_brute_oracle(rng):
         else:
             b = random_group(rng, n, (0, n))
         want = brute_gap(a.discrete_basis, b.discrete_basis, radius)
-        nu = _lattice.dual_coefficient_norms(a.discrete_basis)
-        got = metric._exact_gap(a, metric._TargetProfile(b), radius, nu,
-                                params)
+        got = metric._exact_gap(a, metric._TargetProfile(b), radius)
         assert got == pytest.approx(want, abs=1e-12)
         oracle = max(want, brute_gap(b.discrete_basis, a.discrete_basis,
                                      radius))
@@ -204,12 +202,10 @@ def test_exact_gap_refuses_an_overfull_ball():
     # 0.2 Z^2 holds about 5,000 points within 8 and 320,000 within 64;
     # the farthest from Z^2 are at 0.4 from it in both coordinates
     a = ch.make_subgroup(2, None, [(0.2, 0.0), (0.0, 0.2)])
-    nu = _lattice.dual_coefficient_norms(a.discrete_basis)
     prof = metric._TargetProfile(ch.standard_subgroup(2, 0, 2))
-    params = metric.DEFAULT_PARAMS
-    assert metric._exact_gap(a, prof, 8.0, nu, params) == \
+    assert metric._exact_gap(a, prof, 8.0) == \
         pytest.approx(0.4 * math.sqrt(2), abs=1e-12)
-    assert metric._exact_gap(a, prof, 64.0, nu, params) is None
+    assert metric._exact_gap(a, prof, 64.0) is None
 
 
 def test_budget_error_states_its_numbers():

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,20 @@ def test_scale_conventions():
         doubled.discrete_basis, axis=1)), [2.0, 6.0])
 
 
+def test_scale_rejects_nan_of_any_type_and_overflow():
+    g = ch.make_subgroup(1, None, [(10.0,)])
+    for t in (float("nan"), np.float32("nan"), np.float64("nan")):
+        with pytest.raises(ValueError):
+            ch.scale(g, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput):
+            ch.scale(g, 1e308)
+        with pytest.raises(NonFiniteInput):  # the squared norm overflows
+            ch.scale(g, 1e160)
+        assert ch.scale(g, np.float32(2.0)).discrete_basis[0, 0] == 20.0
+
+
 def test_scale_roundtrip(rng):
     for _ in range(10):
         n = int(rng.integers(1, 5))
@@ -294,12 +309,10 @@ def test_random_subgroup_deterministic():
 
 
 def test_random_subgroup_norm_range(rng):
-    params = ch.RandomSubgroupParams(min_norm=0.6, max_norm=2.4)
     for _ in range(10):
         n = int(rng.integers(1, 5))
         p, q = random_type(rng, n)
-        g = ch.random_subgroup(n, (p, q), seed=int(rng.integers(2 ** 32)),
-                               params=params)
+        g = ch.random_subgroup(n, (p, q), seed=int(rng.integers(2 ** 32)))
         if q:
             sizes = np.linalg.norm(g.discrete_basis, axis=1)
             assert sizes.min() >= 0.6 - 1e-9
