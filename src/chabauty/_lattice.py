@@ -18,11 +18,12 @@ breadth-first so that numpy treats every node of a level at once.  Its
 one budget is the number of nodes a level may hold, summed over the
 targets of one call.  ``LatticeSolver.class_vectors`` runs one batched
 closest-vector query for the shortest vector of each class of L/2L;
-the successive norms and the Voronoi cell both read it.
+``LatticeSolver.successive_norms`` and the Voronoi cell both read it.
 ``search_ball`` returns the points of a ball in search order with their
 squared norms, for callers that take a maximum or a minimum over them;
 ``enumerate_ball`` sorts the same points by (norm, lexicographic), the
-order the public ``points_in_ball`` functions promise.
+order the public ``points_in_ball`` functions promise and the successive
+norms break ties by, ``_ball_order``.
 """
 from __future__ import annotations
 
@@ -325,15 +326,18 @@ def search_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
     return pts[keep], cs[keep], sq[keep]
 
 
+def _ball_order(pts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Indices that sort the rows ``pts``, of norms ``sizes``, by norm,
+    then lexicographically, on keys rounded to 9 digits."""
+    keys = np.round(pts, 9)
+    return np.lexsort([*keys.T[::-1], np.round(sizes, 9)])
+
+
 def enumerate_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
-    """The points of ``search_ball`` with their coefficients, sorted by
-    (norm, lexicographic) with keys rounded to 9 digits."""
+    """The points of ``search_ball`` with their coefficients, in
+    ``_ball_order``."""
     pts, cs = search_ball(basis, radius, cap)[:2]
-    n = pts.shape[1]
-    norms = np.linalg.norm(pts, axis=1)
-    keys = [np.round(pts[:, j], 9) for j in range(n - 1, -1, -1)]
-    keys.append(np.round(norms, 9))
-    order = np.lexsort(keys)
+    order = _ball_order(pts, np.linalg.norm(pts, axis=1))
     return pts[order], cs[order]
 
 
@@ -489,6 +493,35 @@ class LatticeSolver:
             rel.setflags(write=False)
             self._classes = rel
         return self._classes
+
+    def successive_norms(self):
+        """The finite successive norms and their realizers (rows), from
+        the ``class_vectors`` signed to be the lexicographically smaller
+        of +-v and taken in ``_ball_order``.  Each step accepts the first
+        vector whose residual against the accepted directions is above
+        ``RANK_TOL`` (times its norm, when that exceeds 1) and projects
+        its direction out of the vectors after it."""
+        pts = self.class_vectors() @ self.basis
+        keys = np.round(pts, 9)
+        flip = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)] > 0
+        pts[flip] *= -1.0
+        sizes = np.linalg.norm(pts, axis=1)
+        order = _ball_order(pts, sizes)
+        pts, sizes = pts[order], sizes[order]
+        resid = pts.copy()
+        thresholds = RANK_TOL * np.maximum(1.0, sizes)
+        picked, start = [], 0
+        while len(picked) < self.rank:
+            above = np.flatnonzero(
+                np.linalg.norm(resid[start:], axis=1) > thresholds[start:])
+            if above.size == 0:
+                break
+            i = start + int(above[0])
+            u = resid[i] / np.linalg.norm(resid[i])
+            picked.append(i)
+            start = i + 1
+            resid[start:] -= np.outer(resid[start:] @ u, u)
+        return sizes[picked], pts[picked]
 
     def covering_radius(self):
         """Covering radius mu and the vertices of the Voronoi cell of 0,

@@ -17,7 +17,8 @@ class NonClosedInput(ChabautyError):
 
 class NonFiniteInput(ChabautyError):
     """A generator has a NaN or infinite entry, or its squared norm
-    overflows."""
+    overflows; or scaling makes the squared norm of a lattice vector
+    overflow or fall below the smallest normal float."""
 
 
 class EnumerationBudgetExceeded(ChabautyError):

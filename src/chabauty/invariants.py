@@ -10,18 +10,17 @@ class of L/2L, L the discrete part: a vector that is not the only one
 of its class up to sign is the sum of two strictly shorter lattice
 vectors.  So the norms and their realizers come from the 2^q - 1 class
 vectors of the subgroup's shared solver, the query its Voronoi cell
-reads too, with no ball enumeration.
+reads too, with no ball enumeration: ``LatticeSolver.successive_norms``
+runs the residual pass over them, and this module pads its result.
 """
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
-from . import _lattice
 from .errors import WrongAmbientDim
-from .subgroup import ClosedSubgroup, GroupType, _solver
+from .subgroup import ClosedSubgroup, GroupType, _kept, _solver
 
 
 class _Indeterminate:
@@ -42,10 +41,6 @@ class _Indeterminate:
 INDETERMINATE = _Indeterminate()
 
 
-_generation_memo: "weakref.WeakKeyDictionary[ClosedSubgroup, tuple]" = \
-    weakref.WeakKeyDictionary()
-
-
 def generation_data(group: ClosedSubgroup):
     """Successive norms together with the lattice vectors realizing the
     finite generation radii.
@@ -59,60 +54,23 @@ def generation_data(group: ClosedSubgroup):
     that, EnumerationBudgetExceeded names the rank and the cap, and
     nothing is kept.
 
-    Computed once per subgroup object: the result is kept for as long
-    as the subgroup lives and both arrays are read-only.  Concurrent
-    first calls on one subgroup may each compute it; the values are
-    equal."""
-    hit = _generation_memo.get(group)
-    if hit is None:
-        hit = _generation_data(group)
-        for arr in hit:
-            arr.setflags(write=False)
-        _generation_memo[group] = hit
-    return hit
+    Computed once per subgroup object and kept on it; both arrays are
+    read-only."""
+    return _kept(group, "_generation_data", _generation_data)
 
 
 def _generation_data(group: ClosedSubgroup):
-    """The residual pass over the shortest vectors of the classes of
-    L/2L, each signed to be the lexicographically smaller of +-v and
-    sorted by (norm, lexicographic) with keys rounded to 9 digits, as
-    ``enumerate_ball`` sorts.  One residual array holds the vectors with
-    the accepted directions projected out; each step accepts the first
-    vector whose residual is not negligible and projects its direction
-    out of the vectors after it."""
-    n = group.ambient_dim
-    p = group.continuous_dim
-    q = group.discrete_rank
+    """p zeros, the solver's ``successive_norms``, then infinity."""
+    n, p = group.ambient_dim, group.continuous_dim
     out = np.full(n, np.inf)
     out[:p] = 0.0
-    if q == 0:
-        return out, np.zeros((0, n))
-    solver = _solver(group)
-    pts = solver.class_vectors() @ solver.basis
-    keys = np.round(pts, 9)
-    flip = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)] > 0
-    pts[flip] *= -1.0
-    keys[flip] *= -1.0
-    sizes = np.linalg.norm(pts, axis=1)
-    order = np.lexsort([*keys.T[::-1], np.round(sizes, 9)])
-    pts, sizes = pts[order], sizes[order]
-    resid = pts.copy()
-    thresholds = _lattice.RANK_TOL * np.maximum(1.0, sizes)
-    picked = []
-    start = 0
-    while len(picked) < q:
-        above = np.flatnonzero(
-            np.linalg.norm(resid[start:], axis=1) > thresholds[start:])
-        if above.size == 0:
-            break
-        i = start + int(above[0])
-        u = resid[i] / np.linalg.norm(resid[i])
-        picked.append(i)
-        start = i + 1
-        tail = resid[start:]
-        tail -= np.outer(tail @ u, u)
-    out[p:p + len(picked)] = sizes[picked]
-    return out, pts[picked]
+    realizers = np.zeros((0, n))
+    if group.discrete_rank:
+        sizes, realizers = _solver(group).successive_norms()
+        out[p:p + len(sizes)] = sizes
+    out.setflags(write=False)
+    realizers.setflags(write=False)
+    return out, realizers
 
 
 def norms(group: ClosedSubgroup) -> np.ndarray:

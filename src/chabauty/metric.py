@@ -45,7 +45,8 @@ from . import _lattice
 from .errors import (DimensionMismatch, EnumerationBudgetExceeded,
                      InvalidPair, Unstable)
 from .invariants import delta_type, norms
-from .subgroup import ClosedSubgroup, GroupType, _solver, make_subgroup
+from .subgroup import (ClosedSubgroup, GroupType, _distances, _solver,
+                       make_subgroup)
 
 
 def _default_radii():
@@ -93,25 +94,6 @@ def _real(x, what: str) -> float:
 
 
 DEFAULT_PARAMS = MetricParams()
-
-
-class _TargetProfile:
-    """Distance oracle for a fixed target subgroup other than the full
-    space; its solver is the subgroup's cached one."""
-
-    def __init__(self, group: ClosedSubgroup):
-        self.cont = group.continuous_basis
-        self.has_cont = self.cont.shape[0] > 0
-        self.solver = _solver(group) if group.discrete_rank else None
-
-    def dist(self, points: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(points)
-        if self.has_cont:
-            x = x - (x @ self.cont.T) @ self.cont
-        if self.solver is None:
-            return np.linalg.norm(x, axis=1)
-        d, _ = self.solver.closest(x)
-        return d
 
 
 def _top(ub, k):
@@ -238,20 +220,18 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     return lo
 
 
-def _exact_gap(src: ClosedSubgroup, prof: _TargetProfile, radius: float):
+def _exact_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float):
     """Directed gap from a lattice source against a full-rank target,
     exactly: the largest distance to the target over the source's points
-    in the ball, when no level of the ball's search holds more than
-    65,536 nodes; the last level holds every point found, so an overfull
-    ball is refused before its points are made.  Returns None when the
-    search is refused."""
+    in the ball, |x| <= R(1 + 1e-12) + 1e-12, when no level of the
+    ball's search holds more than 65,536 nodes; the last level holds
+    every point found, so an overfull ball is refused before its points
+    are made.  Returns None when the search is refused."""
     try:
-        pts, _, sq = _lattice.search_ball(src.discrete_basis, radius,
-                                          cap=65_536)
+        pts = _lattice.search_ball(src.discrete_basis, radius, cap=65_536)[0]
     except EnumerationBudgetExceeded:
         return None
-    pts = pts[np.sqrt(sq) <= radius * (1 + 1e-12)]
-    return max(float(np.max(prof.dist(pts[start:start + 20_000])))
+    return max(float(np.max(_distances(dst, pts[start:start + 20_000])))
                for start in range(0, pts.shape[0], 20_000))
 
 
@@ -270,39 +250,36 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
         if dst.rank < n:
             return radius
         return min(radius, _solver(dst).covering_radius()[0])
-    prof = _TargetProfile(dst)
     int_basis = src.discrete_basis if qs else None
     int_lips = None
     int_bounds = None
     lo = 0.0
     sigma = 0.0
     if ps:
-        leak0 = src.continuous_basis \
-            - (src.continuous_basis @ prof.cont.T) @ prof.cont \
-            if prof.has_cont else src.continuous_basis
-        sigma = min(1.0, float(np.linalg.svd(leak0, compute_uv=False)[0])) \
-            if leak0.size else 0.0
+        cont = dst.continuous_basis
+        leak0 = src.continuous_basis - (src.continuous_basis @ cont.T) @ cont
+        sigma = min(1.0, float(np.linalg.svd(leak0, compute_uv=False)[0]))
     if qs:
-        ei = prof.dist(src.discrete_basis)
+        ei = _distances(dst, src.discrete_basis)
         row_norms = np.linalg.norm(src.discrete_basis, axis=1)
         int_lips = np.minimum(ei, row_norms)
         nu = _lattice.dual_coefficient_norms(src.discrete_basis)
         int_bounds = np.floor(radius * nu + 1e-9).astype(np.int64)
         # the basis vectors inside the ball are points of the trace
-        lo = float(np.max(ei[row_norms <= radius * (1 + 1e-12)],
+        lo = float(np.max(ei[row_norms <= radius * (1 + 1e-12) + 1e-12],
                           initial=0.0))
     ub_cap = math.inf
     if dst.rank == n:
         if ps == 0:
-            value = _exact_gap(src, prof, radius)
+            value = _exact_gap(src, dst, radius)
             if value is not None:
                 return value
         try:  # the covering radius bounds every distance to the target
-            ub_cap = prof.solver.covering_radius()[0]
+            ub_cap = _solver(dst).covering_radius()[0]
         except EnumerationBudgetExceeded:
             pass  # the Voronoi walk refuses the target's lattice part
     return _certified_sup(
-        prof.dist, int_basis, int_lips, int_bounds,
+        lambda xs: _distances(dst, xs), int_basis, int_lips, int_bounds,
         src.continuous_basis if ps else None, sigma,
         radius, params.grid, stop_above, params.cap, lo, ub_cap)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (NotInC1, NotLattice, NotUnitSystole, SingularBasePoint,
                      WrongAmbientDim)
 from .invariants import covolume, generation_data, systole
-from .subgroup import ClosedSubgroup, make_subgroup, nearest_point, scale
+from .subgroup import ClosedSubgroup, _distances, make_subgroup, scale
 
 INFINITY_POINT = complex(math.inf, 0.0)
 
@@ -169,7 +169,7 @@ def stabilizer_order(group: ClosedSubgroup) -> int:
         rot = np.array([[c, -s], [s, c]])
         rotated.append(group.discrete_basis @ rot.T)
     rotated = np.vstack(rotated)
-    gaps = np.linalg.norm(rotated - nearest_point(group, rotated), axis=1)
+    gaps = _distances(group, rotated)
     if np.all(gaps[:2] < tol):
         return 3
     if np.all(gaps[2:] < tol):

@@ -9,7 +9,6 @@ discrete part, rows as vectors.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +33,8 @@ class ClosedSubgroup:
 
     ``continuous_basis`` has orthonormal rows; ``discrete_basis`` rows
     are independent, orthogonal to the continuous part and reduced.
-    Instances are immutable and shareable across threads.
+    Instances are immutable and shareable across threads; what is
+    derived from them is kept on them by ``_kept``.
     """
 
     ambient_dim: int
@@ -167,19 +167,35 @@ def points_in_ball_with_coefficients(group: ClosedSubgroup, radius: float,
     return _lattice.enumerate_ball(group.discrete_basis, radius, cap)
 
 
-_solvers: "weakref.WeakKeyDictionary[ClosedSubgroup, _lattice.LatticeSolver]" \
-    = weakref.WeakKeyDictionary()
+def _kept(group: ClosedSubgroup, key: str, build):
+    """``build(group)``, computed on first use and kept in the subgroup's
+    ``__dict__`` as ``functools.cached_property`` does, without its lock,
+    which Python 3.10 and 3.11 share among all instances.  A build that
+    raises keeps nothing; concurrent first calls may each build, and all
+    get the first value kept."""
+    state = group.__dict__
+    if key not in state:
+        state.setdefault(key, build(group))
+    return state[key]
 
 
 def _solver(group: ClosedSubgroup) -> _lattice.LatticeSolver:
     """Closest-vector solver of the discrete part, built once per
-    subgroup object and kept for as long as the subgroup lives.
-    Concurrent first calls may each build one; they are equal."""
-    solver = _solvers.get(group)
-    if solver is None:
-        solver = _solvers[group] = _lattice.LatticeSolver(
-            group.discrete_basis)
-    return solver
+    subgroup object."""
+    return _kept(group, "_solver",
+                 lambda g: _lattice.LatticeSolver(g.discrete_basis))
+
+
+def _distances(group: ClosedSubgroup, rows: np.ndarray) -> np.ndarray:
+    """Distances from the rows of ``rows`` to the subgroup: the
+    continuous part is projected out, and the solver takes the rest."""
+    x = np.atleast_2d(rows)
+    cb = group.continuous_basis
+    if cb.shape[0]:
+        x = x - (x @ cb.T) @ cb
+    if not group.discrete_rank:
+        return np.linalg.norm(x, axis=1)
+    return _solver(group).closest(x)[0]
 
 
 def nearest_point(group: ClosedSubgroup, x) -> np.ndarray:
@@ -226,7 +242,8 @@ def scale(group: ClosedSubgroup, t: float) -> ClosedSubgroup:
 
     t = inf returns the continuous part, t = 0 returns the full span.
     A complex or NaN factor, of any numeric type, raises ValueError, and
-    a lattice vector whose squared norm overflows raises NonFiniteInput.
+    a lattice vector whose squared norm overflows, or falls below the
+    smallest normal float, raises NonFiniteInput.
     """
     if isinstance(t, (complex, np.complexfloating)) or math.isnan(t):
         raise ValueError("scale factor must be a real number in [0, inf]")
@@ -241,9 +258,11 @@ def scale(group: ClosedSubgroup, t: float) -> ClosedSubgroup:
         return ClosedSubgroup(n, span, np.zeros((0, n)))
     with np.errstate(over="ignore"):
         basis = t * group.discrete_basis
-    if not _finite(basis):
+    sq = np.einsum("ij,ij->i", basis, basis)
+    if not np.all((sq >= np.finfo(float).tiny) & (sq < math.inf)):
         raise NonFiniteInput(
-            f"scaling by {t} overflows the squared norm of a lattice vector")
+            f"scaling by {t} overflows or underflows the squared norm of "
+            "a lattice vector")
     return ClosedSubgroup(n, group.continuous_basis, basis)
 
 

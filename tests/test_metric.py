@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chabauty as ch
-from chabauty import _lattice, invariants, metric, subgroup
+from chabauty import _lattice, metric, subgroup
 from chabauty.errors import EnumerationBudgetExceeded, InvalidPair, Unstable
 
 from conftest import (brute_gap, brute_gap_mesh, brute_gap_to,
@@ -190,7 +190,7 @@ def test_dense_gap_matches_brute_oracle(rng):
         else:
             b = random_group(rng, n, (0, n))
         want = brute_gap(a.discrete_basis, b.discrete_basis, radius)
-        got = metric._exact_gap(a, metric._TargetProfile(b), radius)
+        got = metric._exact_gap(a, b, radius)
         assert got == pytest.approx(want, abs=1e-12)
         oracle = max(want, brute_gap(b.discrete_basis, a.discrete_basis,
                                      radius))
@@ -202,10 +202,22 @@ def test_exact_gap_refuses_an_overfull_ball():
     # 0.2 Z^2 holds about 5,000 points within 8 and 320,000 within 64;
     # the farthest from Z^2 are at 0.4 from it in both coordinates
     a = ch.make_subgroup(2, None, [(0.2, 0.0), (0.0, 0.2)])
-    prof = metric._TargetProfile(ch.standard_subgroup(2, 0, 2))
-    assert metric._exact_gap(a, prof, 8.0) == \
+    target = ch.standard_subgroup(2, 0, 2)
+    assert metric._exact_gap(a, target, 8.0) == \
         pytest.approx(0.4 * math.sqrt(2), abs=1e-12)
-    assert metric._exact_gap(a, prof, 64.0) is None
+    assert metric._exact_gap(a, target, 64.0) is None
+
+
+def test_both_gap_routes_count_the_same_ball():
+    # (1 + 1.5e-12, 0) lies within R(1 + 1e-12) + 1e-12 of the origin at
+    # R = 1, and at distance 1 from both targets: the exact lattice path
+    # (towards 2Z x Z) and the branch and bound (towards Z(0, 1)) count it
+    a = ch.make_subgroup(2, None, [(1 + 1.5e-12, 0.0), (0.0, 10.0)])
+    full = ch.make_subgroup(2, None, [(2.0, 0.0), (0.0, 1.0)])
+    line = ch.make_subgroup(2, None, [(0.0, 1.0)])
+    for target in (full, line):
+        gap = metric._directed_gap(a, target, 1.0, ch.MetricParams(), None)
+        assert gap == pytest.approx(1.0, abs=1e-9)
 
 
 def test_budget_error_states_its_numbers():
@@ -381,21 +393,16 @@ def test_branch_and_bound_matches_the_reference(seed, n, data):
 
 
 def test_caches_free_their_subgroups():
-    caches = (subgroup._solvers, invariants._generation_memo)
-    gc.collect()
-    before = [len(c) for c in caches]
     a = ch.make_subgroup(2, None, [(1.0, 0.0), (0.3, 1.1)])
     b = ch.make_subgroup(2, None, [(1.02, 0.01), (0.29, 1.12)])
     plane = ch.standard_subgroup(2, 2, 0)
     ch.chabauty_distance(a, b)
     ch.chabauty_distance(plane, a)
     ch.norms(a)
-    assert all(len(c) > n for c, n in zip(caches, before))
-    refs = [weakref.ref(g) for g in (a, b, plane)]
+    refs = [weakref.ref(g) for g in (a, b, plane, subgroup._solver(a))]
     del a, b, plane
     gc.collect()
     assert all(r() is None for r in refs)
-    assert [len(c) for c in caches] == before
 
 
 PAIRS = [((2, 0, 2), (2, 2, 0)), ((2, 2, 0), (2, 0, 2)),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import chabauty as ch
-from chabauty import _lattice
+from chabauty import _lattice, subgroup
 from chabauty.subgroup import points_in_ball_with_coefficients
 from chabauty.errors import (DimensionMismatch, EnumerationBudgetExceeded,
                              InvalidType, NonClosedInput, NonFiniteInput,
@@ -154,10 +154,14 @@ def test_nearest_point_builds_one_solver(monkeypatch):
 
     monkeypatch.setattr(_lattice, "LatticeSolver", counting)
     g = ch.make_subgroup(2, None, [(1.0, 0.0), (0.3, 1.1)])
+    other = ch.make_subgroup(2, None, [(1.02, 0.01), (0.29, 1.12)])
     for x in [(0.2, 0.1), (3.3, -1.2), (0.5, 0.5)]:
         ch.nearest_point(g, x)
         ch.distance_to_subgroup(x, g)
-    assert len(builds) == 1
+    ch.norms(g)
+    subgroup._solver(g).covering_radius()
+    ch.hausdorff_gap(g, other, 4.0)
+    assert sum(b is g.discrete_basis for b in builds) == 1
 
 
 def test_shared_solver_under_threads():
@@ -253,6 +257,11 @@ def test_scale_rejects_nan_of_any_type_and_overflow():
         with pytest.raises(NonFiniteInput):  # the squared norm overflows
             ch.scale(g, 1e160)
         assert ch.scale(g, np.float32(2.0)).discrete_basis[0, 0] == 20.0
+        h = ch.make_subgroup(2, None, [(10.0, 0.0), (0.0, 1.0)])
+        for t in (1e-200, 1e-160):  # a squared norm below the normal range
+            with pytest.raises(NonFiniteInput):
+                ch.scale(h, t)
+        assert ch.scale(h, 1e-100).group_type == (0, 2)
 
 
 def test_scale_roundtrip(rng):
