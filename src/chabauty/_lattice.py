@@ -10,7 +10,8 @@ One LLL loop, ``_lll``, reduces independent bases (``lll_reduce``) and,
 run on generators augmented by their integer coefficients, dependent
 generators (``basis_from_generators``), whose integer relations come out
 as rows of the reduced coefficients.  It has no iteration guard: a
-numeric failure raises EnumerationBudgetExceeded with its numbers.
+numeric failure raises EnumerationBudgetExceeded with its numbers.  Its
+output is a fixed point, which ``LatticeSolver`` takes as given.
 
 Ball enumeration and closest-vector queries share one lattice-point
 search, ``_fincke_pohst`` (Fincke & Pohst, Math. Comp. 1985), run
@@ -34,6 +35,7 @@ from .errors import EnumerationBudgetExceeded
 RANK_TOL = 1e-9  # relative size below which a row counts as dependent
 _EPS = 1e-12
 _DELTA = 0.75
+_TIE = 0.5 + 1e-9  # |mu| up to which a row counts as size-reduced
 _EXACT = 2.0 ** 52
 _NOISE = 64 * np.finfo(float).eps  # coefficient weight per generator norm
 _WALK_BUDGET = 2_000_000  # ratio tests on one level of the Voronoi walk
@@ -113,10 +115,11 @@ def _gso_row(basis, bstar, bsq, mu, i):
 
 def _lll(rows, dim: int) -> np.ndarray:
     """LLL reduction of independent rows, measured by their first ``dim``
-    columns; the columns past ``dim`` ride along and hold integers.  Row
-    i's Gram-Schmidt data are recomputed whenever rows 0..i change, as
-    the loop reads no row past i.  Raises EnumerationBudgetExceeded when
-    a multiplier or a carried integer reaches 2^52."""
+    columns; the columns past ``dim`` ride along and hold integers.  Row i's
+    Gram-Schmidt data are recomputed whenever rows 0..i change, as the loop
+    reads no row past i.  Size reduction leaves |mu| <= ``_TIE`` alone, so
+    the output is a fixed point.  Raises EnumerationBudgetExceeded when a
+    multiplier or a carried integer reaches 2^52."""
     b = np.array(rows, dtype=float)
     k = b.shape[0]
     if k <= 1:
@@ -130,8 +133,8 @@ def _lll(rows, dim: int) -> np.ndarray:
     while i < k:
         _gso_row(v, bstar, bsq, mu, i)
         for j in range(i - 1, -1, -1):
-            m = mu[i, j].round()
-            if m != 0:
+            if abs(mu[i, j]) > _TIE:
+                m = mu[i, j].round()
                 b[i] -= m * b[j]
                 top = abs(m)
                 if carried.size:
@@ -183,14 +186,6 @@ def canonical_rows(basis) -> np.ndarray:
                     row *= -1.0
                 break
     return b
-
-
-def reduce_basis(basis) -> np.ndarray:
-    """LLL reduction followed by the canonical sign normalization."""
-    b = np.asarray(basis, dtype=float)
-    if b.shape[0] == 0:
-        return b
-    return canonical_rows(lll_reduce(b))
 
 
 def basis_from_generators(gens, zero_tol: float):
@@ -400,27 +395,22 @@ def _voronoi_walk(normals, rhs):
 
 
 class LatticeSolver:
-    """Exact batched closest-vector queries against a fixed lattice, and
-    its covering radius.
+    """Exact batched closest-vector queries against a fixed lattice of
+    rank at least 1, and its covering radius.
 
-    The basis is LLL-reduced once.  A query keeps the nearest-plane
-    (Babai) point when its in-span residual is below half the shortest
-    Gram-Schmidt norm, hence below half the shortest lattice vector, so
-    that no other point is as close; other targets run the Fincke-Pohst
-    search within their nearest-plane distance.
+    The basis is taken as given; a reduced one, a canonical
+    ``discrete_basis`` or one from ``basis_from_generators``, keeps the
+    search small.  A query keeps the nearest-plane (Babai) point when its
+    in-span residual is below half the shortest Gram-Schmidt norm, hence
+    below half the shortest lattice vector, so that no other point is as
+    close; other targets run the Fincke-Pohst search within their
+    nearest-plane distance.
     """
 
     def __init__(self, basis):
-        b = np.atleast_2d(np.asarray(basis, dtype=float))
-        self.rank = b.shape[0]
-        self.dim = b.shape[1]
-        self._cover = None
-        self._classes = None
-        if self.rank == 0:
-            self.basis = b.reshape(0, self.dim)
-            self._cover = (0.0, np.zeros((1, self.dim)))
-            return
-        self.basis = lll_reduce(b)
+        self.basis = np.array(basis, dtype=float, ndmin=2)
+        self.rank = self.basis.shape[0]
+        self._cover = self._classes = None
         self._bstar, self._mu = _gso(self.basis)
         self._bstar_sq = np.einsum("ij,ij->i", self._bstar, self._bstar)
 
@@ -440,9 +430,6 @@ class LatticeSolver:
         Raises EnumerationBudgetExceeded when one level of the search
         would hold more than ``cap`` nodes over all targets."""
         y = np.atleast_2d(np.asarray(targets, dtype=float))
-        if self.rank == 0:
-            return np.linalg.norm(y, axis=1), np.zeros((y.shape[0], 0),
-                                                       dtype=np.int64)
         coeffs = self.nearest_plane(y)
         diff = coeffs @ self.basis - y
         d2 = np.einsum("ij,ij->i", diff, diff)

@@ -180,19 +180,9 @@ def _norm_budget(fine_part: ClosedSubgroup, coarse_rows: np.ndarray):
     np_fine = float(norms(fine_part)[p - 1]) if p else 0.0
     n1 = np.inf
     if coarse_rows.shape[0]:
-        solver = _lattice.LatticeSolver(coarse_rows)
-        v = solver.class_vectors() @ solver.basis
+        v = _lattice.LatticeSolver(coarse_rows).class_vectors() @ coarse_rows
         n1 = float(np.sqrt(np.einsum("ij,ij->i", v, v).min()))
     return np_fine, n1, np_fine + 1.0 / n1
-
-
-def _integer_coords(points: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Integer coordinates of lattice points in a full-rank row basis."""
-    raw = points @ np.linalg.inv(basis)
-    snapped = np.round(raw)
-    if np.max(np.abs(raw - snapped), initial=0.0) > 1e-6:
-        raise InconsistentData("points are not integer combinations")
-    return snapped.astype(np.int64)
 
 
 def _check_aligned(base: ClosedSubgroup) -> GroupType:
@@ -287,10 +277,10 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
         raise NotInNeighborhood(
             f"fine/coarse norm budget {budget:.6g} is not below {delta}")
 
-    # distinguished medium basis, in the solver's coordinates lifted once
+    # distinguished medium basis; lift carries med_rows back to s_rows
     if q:
         solver = _lattice.LatticeSolver(med_rows)
-        lift = _integer_coords(solver.basis, med_rows) @ (med_coeff @ s_rows)
+        lift = med_coeff @ s_rows
         _, cvp_coeff = solver.closest(np.eye(q))
         medium_basis = cvp_coeff @ solver.basis
         if np.max(np.linalg.norm(medium_basis - np.eye(q), axis=1)) >= delta:

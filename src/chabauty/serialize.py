@@ -29,14 +29,28 @@ def subgroup_to_dict(group: ClosedSubgroup) -> dict:
     }
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) \
+        and not isinstance(x, bool)
+
+
 def subgroup_from_dict(data: dict) -> ClosedSubgroup:
-    try:
-        n = int(data["ambient_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"bad subgroup object: {exc}") from exc
-    return make_subgroup(n,
-                         data.get("continuous_basis") or [],
-                         data.get("discrete_basis") or [])
+    """The subgroup of a schema object; the "type" that ``dual`` writes
+    is ignored.  Raises DimensionMismatch for a non-object, an unknown
+    key, an ``ambient_dim`` that is not an integer and a basis that is
+    not a list of rows of numbers."""
+    keys = ("ambient_dim", "continuous_basis", "discrete_basis", "type")
+    if not isinstance(data, dict) or set(data) - set(keys):
+        raise DimensionMismatch(f"a subgroup is an object with keys {keys}")
+    n = data.get("ambient_dim")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DimensionMismatch(f"ambient_dim {n!r} is not an integer")
+    bases = [data.get(key, []) for key in keys[1:3]]
+    if not all(isinstance(rows, list) and all(
+            isinstance(row, list) and all(map(_number, row)) for row in rows)
+            for rows in bases):
+        raise DimensionMismatch("a basis must be a list of rows of numbers")
+    return make_subgroup(n, *bases)
 
 
 def load_subgroup(path) -> ClosedSubgroup:

@@ -31,9 +31,10 @@ class GroupType(NamedTuple):
 class ClosedSubgroup:
     """Canonical form of a closed subgroup of R^n.
 
-    ``continuous_basis`` has orthonormal rows; ``discrete_basis`` rows
-    are independent, orthogonal to the continuous part and reduced.
-    Instances are immutable and shareable across threads; what is
+    ``continuous_basis`` has orthonormal rows; ``discrete_basis`` rows are
+    independent, orthogonal to the continuous part and LLL-reduced to a
+    fixed point, which the solver takes as given: ``make_subgroup`` builds
+    them.  Instances are immutable and shareable across threads; what is
     derived from them is kept on them by ``_kept``.
     """
 
@@ -131,7 +132,7 @@ def make_subgroup(n: int, continuous_gens=None,
         if sv[-1] <= _lattice.RANK_TOL * max(1.0, sv[0]):
             raise NonClosedInput(
                 "projected discrete generators are dependent over the reals")
-        dbasis = _lattice.reduce_basis(proj)
+        dbasis = _lattice.canonical_rows(_lattice.lll_reduce(proj))
     else:
         dbasis = np.zeros((0, n))
     return ClosedSubgroup(n, cbasis, dbasis)
@@ -290,7 +291,7 @@ def random_subgroup(n: int, group_type, seed: int) -> ClosedSubgroup:
         if rmin <= 0 or lo / rmin > hi / rmax:
             continue
         s = math.exp(rng.uniform(math.log(lo / rmin), math.log(hi / rmax)))
-        basis = _lattice.reduce_basis(s * coeff @ comp)
+        basis = _lattice.canonical_rows(s * coeff @ comp)
         return ClosedSubgroup(n, cont, basis)
     raise EnumerationBudgetExceeded(
         "could not draw a basis with norms in [0.6, 2.4] in 64 tries")

@@ -89,6 +89,14 @@ def test_suspend_command(capsys):
     assert data["error"]["kind"] == "NotInC1"
 
 
+def test_suspend_command_on_unit_lattice(capsys, tmp_path):
+    path = tmp_path / "z2.json"
+    path.write_text(dumps(ch.subgroup_to_dict(ch.standard_subgroup(2, 0, 2))))
+    code, out = invoke(["suspend", str(path), "--t", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["discrete_basis"] == [[2, 0], [0, 2]]
+
+
 def test_decompose_command(capsys):
     code, out = invoke(["decompose", str(FIXTURES / "coarse_offsets.json"),
                         "--base-type", "0", "2", "--delta", "0.1"], capsys)
@@ -109,6 +117,23 @@ def test_limit_command(capsys):
     data = json.loads(out)
     assert data["type"] == [1, 1]
     assert data["to_zero"] == [0]
+
+
+@pytest.mark.parametrize("template, argv, group_type, to_infinity", [
+    ("grow", ["--n", "1", "--source", "0", "1", "--t", "1", "100", "1000",
+              "10000"], [0, 0], [0]),
+    ("constant", ["--n", "2", "--source", "0", "2", "--t", "1", "2", "3"],
+     [0, 2], []),
+])
+def test_limit_other_templates(capsys, template, argv, group_type,
+                               to_infinity):
+    code, out = invoke(["limit", "--template", template, "--delta", "0.1",
+                        *argv], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["type"] == group_type
+    assert data["to_zero"] == []
+    assert data["to_infinity"] == to_infinity
 
 
 def test_poset_command(capsys):
@@ -140,6 +165,17 @@ def test_atlas_csv(capsys):
     assert all(len(line.split(",")) == 3 for line in lines[1:])
 
 
+def test_atlas_json_matches_csv(capsys):
+    argv = ["atlas", "--re-steps", "3", "--im-steps", "2"]
+    code, out = invoke(argv + ["--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    code, out = invoke(argv, capsys)
+    assert code == 0
+    lines = out.strip().splitlines()[1:]
+    assert [[float(x) for x in line.split(",")] for line in lines] == rows
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, _ = invoke(["info", str(FIXTURES / "z3.json"),
@@ -163,7 +199,8 @@ def test_params_file(tmp_path, capsys):
                                         ({"gird": 0.5}, "gird"),
                                         ({"cap": 2.5}, "cap"),
                                         ({"cap": True}, "cap"),
-                                        ({"grid": True}, "grid")])
+                                        ({"grid": True}, "grid"),
+                                        ([0.5], "object")])
 def test_bad_params_file_is_a_domain_error(tmp_path, capsys, raw, named):
     params = tmp_path / "params.json"
     params.write_text(json.dumps(raw))
@@ -195,6 +232,29 @@ def test_out_of_range_argument_is_a_domain_error(capsys, argv, named):
     assert named in error["message"]
 
 
+@pytest.mark.parametrize("text, named", [
+    ('{"ambient_dim": 2, "discrete_basis": 5}', "basis"),
+    ('{"ambient_dim": 2.7}', "ambient_dim"),
+    ('{"ambient_dim": true}', "ambient_dim"),
+    ('{"ambient_dim": "2"}', "ambient_dim"),
+    ('{"ambient_dim": 2, "continous_basis": [[1, 0]]}', "keys"),
+    ('{"ambient_dim": 2, "discrete_basis": [[true, false]]}', "basis"),
+    ('{"ambient_dim": 2, "discrete_basis": [1, 0]}', "basis"),
+    ('[{"ambient_dim": 2}]', "object"),
+], ids=["basis-int", "dim-float", "dim-bool", "dim-str", "misspelled-key",
+        "bool-entries", "flat-basis", "not-an-object"])
+def test_schema_violation_is_a_domain_error(tmp_path, capsys, text, named):
+    with pytest.raises(ch.DimensionMismatch, match=named):
+        subgroup_from_dict(json.loads(text))
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out = invoke(["info", str(path)], capsys)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "DimensionMismatch"
+    assert named in error["message"]
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["info", "x.json", "--format", "csv"]) == 2
@@ -218,6 +278,13 @@ def test_float_serialization_rules():
     assert dumps(ch.INDETERMINATE) == '"indeterminate"'
     assert dumps(0.1) == "0.10000000000000001"
     assert dumps({"a": [1, 2.5]}) == '{"a": [1, 2.5]}'
+
+
+def test_dumps_of_other_values():
+    assert dumps([None, True, False]) == "[null, true, false]"
+    assert dumps(1.5 - 2j) == "[1.5, -2]"
+    with pytest.raises(TypeError, match="set"):
+        dumps({1, 2})
 
 
 def test_cli_subprocess_entry():

@@ -190,6 +190,25 @@ def test_flag_beyond_the_alignment_is_a_failed_membership():
     assert report.reason == "blockwise principal angles exceed the bound"
 
 
+@pytest.mark.parametrize("rows, base_type, reason", [
+    ([[0.1]], (0, 1), "not decomposable at scale 0.1"),
+    ([[1.0]], (1, 0), "scale type (0, 1) does not match the base type (1, 0)"),
+    (rotation2(math.pi / 6), (0, 2),
+     "no distinguished basis within delta of the identity"),
+    (0.5 * np.eye(2), (0, 2),
+     "distinguished vectors do not generate the medium lattice"),
+], ids=["on-threshold", "other-type", "rotated", "index-four"])
+def test_rejection_reasons(rows, base_type, reason):
+    g = ch.make_subgroup(len(rows[0]), None, rows)
+    base = ch.standard_subgroup(g.ambient_dim, *base_type)
+    with pytest.raises(NotInNeighborhood) as info:
+        ch.local_decomposition(g, base, 0.1)
+    assert str(info.value) == reason
+    report = ch.in_scale_neighborhood(g, base, 0.1)
+    assert not report
+    assert report.reason == reason
+
+
 def test_reconstruct_base_point():
     base = ch.standard_subgroup(4, 1, 2)
     lin, loc = ch.local_decomposition(base, base, 0.1)
@@ -396,6 +415,36 @@ def test_on_link_cases():
     shifted = ch.make_subgroup(3, None, [(delta / 4, 0, 0), (0, 1.05, 0),
                                          (0, 0, 4 / delta)])
     assert not ch.on_link(shifted, base, delta)
+
+
+def test_off_link_by_flag_or_medium_offset():
+    # each group misses the link by one condition only; bundle_projection
+    # checks that its norm budget is delta / 2
+    delta = 0.1
+    base, g = link_point(delta)
+    tilt = np.eye(3)
+    tilt[:2, :2] = rotation2(1e-4)
+    tilted = ch.apply_linear(tilt, g)
+    lin, loc = ch.local_decomposition(tilted, base, delta)
+    ch.bundle_projection(lin, loc, delta)
+    assert ch.flag_gap(lin, ch.standard_flag(3, 1, 1)) > 1e-5
+    assert not ch.on_link(tilted, base, delta)
+    offset = ch.make_subgroup(3, None, [(delta / 4, 0, 0), (0.01, 1, 0),
+                                        (0, 0, 4 / delta)])
+    lin, loc = ch.local_decomposition(offset, base, delta)
+    ch.bundle_projection(lin, loc, delta)
+    assert ch.flag_gap(lin, ch.standard_flag(3, 1, 1)) < 1e-12
+    assert abs(loc.medium_basis[0, 0] - 1.0) < 1e-12
+    np.testing.assert_allclose(loc.medium_offset, [[0.01]])
+    assert not ch.on_link(offset, base, delta)
+
+
+def test_bundle_projection_off_link():
+    delta = 0.1
+    base, g = link_point(delta)
+    lin, loc = ch.local_decomposition(g, base, delta)
+    with pytest.raises(NotInNeighborhood, match="not on the link"):
+        ch.bundle_projection(lin, ch.cone_map(0.5, lin, loc), delta)
 
 
 def test_cone_map_scales_blocks():

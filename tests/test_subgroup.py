@@ -296,6 +296,31 @@ def test_make_subgroup_idempotent_generic_generators(rng):
                                    g.discrete_basis, atol=1e-9)
 
 
+def glued_lattice(size):
+    """size * (Z^5 + Z (1, ..., 1) / 2), the glue vector first."""
+    rows = size * np.eye(5)
+    rows[0] = 0.5 * size
+    return rows
+
+
+@pytest.mark.parametrize("rows", [
+    # mu = 0.5000000000000001: size reduction sits on a tie
+    [[0.9983783335943661, 0.056927172855646795],
+     [0.360395924886702, 2.462594048590776]],
+    glued_lattice(0.02),
+    glued_lattice(1.0),
+], ids=["tie2", "glued0.02", "glued1"])
+def test_canonical_basis_is_a_fixed_point(rows):
+    # the solver takes a canonical basis as given, so reducing it again
+    # must return the same bits, and so must canonicalizing it again
+    n = len(rows[0])
+    g = ch.make_subgroup(n, None, rows)
+    assert np.array_equal(_lattice.lll_reduce(g.discrete_basis),
+                          g.discrete_basis)
+    again = ch.make_subgroup(n, None, g.discrete_basis)
+    assert np.array_equal(again.discrete_basis, g.discrete_basis)
+
+
 def test_membership_consistency(rng):
     for _ in range(10):
         n = int(rng.integers(1, 4))
