@@ -501,7 +501,8 @@ class LatticeSolver:
         while len(picked) < self.rank:
             above = np.flatnonzero(
                 np.linalg.norm(resid[start:], axis=1) > thresholds[start:])
-            if above.size == 0:
+            # only lattices under RANK_TOL's absolute floor get here
+            if above.size == 0:  # pragma: no cover: below the rank floor
                 break
             i = start + int(above[0])
             u = resid[i] / np.linalg.norm(resid[i])

@@ -238,8 +238,6 @@ def _run_command(ns, params: MetricParams) -> str:
         lines += [f"{format_float(x)},{format_float(y)},{order}"
                   for x, y, order in rows]
         return "\n".join(lines) + "\n"
-    else:  # pragma: no cover
-        raise ValueError(f"unknown command {cmd}")
     payload = results[0] if len(results) == 1 else results
     return dumps(payload) + "\n"
 
@@ -281,5 +279,5 @@ def cli_entry():  # console-script hook
     raise SystemExit(main())
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # pragma: no cover: run in a child process
     cli_entry()

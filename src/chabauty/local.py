@@ -32,7 +32,8 @@ _LINK_TOL = 1e-9  # how far a link point may sit from the link
 
 @dataclass(frozen=True)
 class LinearDecomposition:
-    """Three mutually orthogonal blocks spanning R^n, rows orthonormal."""
+    """Three mutually orthogonal blocks spanning R^n, rows orthonormal;
+    a hand-built instance must keep these invariants."""
 
     fine: np.ndarray
     medium: np.ndarray
@@ -64,11 +65,9 @@ def _block_gap(a: np.ndarray, b: np.ndarray) -> float:
     the sine of the largest principal angle."""
     if a.shape != b.shape:
         raise DimensionMismatch("flag blocks have different dimensions")
-    if a.shape[0] == 0:
+    if a.size == 0:
         return 0.0
     resid = a - (a @ b.T) @ b
-    if resid.size == 0:
-        return 0.0
     return float(np.linalg.svd(resid, compute_uv=False)[0])
 
 
@@ -88,7 +87,10 @@ def trivialisation(flag: LinearDecomposition,
     into the matching base block exactly, and taking its orthogonal
     polar factor yields a rotation with the same block mapping that is
     the identity when the flags coincide and varies smoothly.  Raises
-    FlagsTooFar when some blockwise principal angle has sine above 0.7.
+    FlagsTooFar when some blockwise principal angle has sine above 0.7,
+    or when the polar factor is degenerate, which only a hand-built flag
+    can be: with orthogonal blocks the sum keeps at least
+    sqrt(1 - 0.7^2), about 0.71, of every vector's length.
     """
     if flag_gap(flag, base_flag) > 0.7:
         raise FlagsTooFar("blockwise principal angles exceed the bound")
@@ -206,8 +208,9 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
 
     Raises NotInNeighborhood naming the first failing membership
     condition: scale decomposability, matching scale type, flag
-    closeness, the coarse, medium and fine ranks, the fine/coarse norm
-    budget, or the distinguished basis.
+    closeness, the coarse rank, the fine/coarse norm budget, or the
+    distinguished basis.  InconsistentData refuses a hand-built group
+    whose discrete rows lean into its continuous part or are skewed.
     """
     if group.ambient_dim != base.ambient_dim:
         raise DimensionMismatch("group and base live in different spaces")
@@ -231,11 +234,7 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
         raise NotInNeighborhood(str(exc)) from None
     disc_rot = group.discrete_basis @ tau.T
     cont_rot = group.continuous_basis @ tau.T
-    if cont_rot.shape[0] and np.max(np.abs(cont_rot[:, p:]),
-                                    initial=0.0) > 1e-8:
-        raise InconsistentData("rotation failed to align the fine block")
     q0 = group.discrete_rank
-    p0 = group.continuous_dim
 
     # coarse block lattice and the kernel, the lattice in the other blocks
     d3 = n - p - q
@@ -250,27 +249,17 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
     m = coarse_rows.shape[0]
     if m != group.rank - (p + q):
         raise NotInNeighborhood("coarse lattice rank mismatch")
-    if kernel.shape[0] != (p - p0) + q:
-        raise NotInNeighborhood("medium and fine ranks do not split")
     s_rows = kernel @ disc_rot if kernel.shape[0] else np.zeros((0, n))
-    if s_rows.shape[0] and np.max(np.abs(s_rows[:, p + q:]),
-                                  initial=0.0) > 1e-6:
-        raise InconsistentData("kernel rows leak into the coarse block")
 
     # medium lattice; its relations generate the fine lattice
     fine_rows = s_rows
     if q:
         med_rows, med_coeff, relations = _lattice.basis_from_generators(
             s_rows[:, p:p + q], zero_tol=1e-9)
-        if med_rows.shape[0] != q:
-            raise NotInNeighborhood("medium lattice rank mismatch")
         fine_rows = relations @ s_rows
-    if fine_rows.shape[0] and np.max(np.abs(fine_rows[:, p:]),
-                                     initial=0.0) > 1e-8:
+    if np.max(np.abs(fine_rows[:, p:]), initial=0.0) > 1e-8:
         raise InconsistentData("fine lattice escapes the fine block")
     fine_part = make_subgroup(p, cont_rot[:, :p], fine_rows[:, :p])
-    if fine_part.rank != p:
-        raise NotInNeighborhood("fine block is not of maximal rank")
 
     budget = _norm_budget(fine_part, coarse_rows)[2]
     if budget >= delta:
@@ -298,8 +287,6 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
     # coarse offsets: shortest coset representatives in both blocks
     if m:
         pre = coarse_coeff @ disc_rot
-        if np.max(np.abs(pre[:, p + q:] - coarse_rows), initial=0.0) > 1e-6:
-            raise InconsistentData("coarse preimages lost their block")
         if q:
             pre = pre - solver.closest(pre[:, p:p + q])[1] @ lift
         off_med = pre[:, p:p + q]
@@ -330,7 +317,7 @@ def in_scale_neighborhood(group: ClosedSubgroup, base: ClosedSubgroup,
     point; reports the first failing condition on False."""
     try:
         local_decomposition(group, base, delta)
-    except (NotInNeighborhood, NotDecomposable, InconsistentData) as exc:
+    except (NotInNeighborhood, InconsistentData) as exc:
         return Membership(False, str(exc))
     return Membership(True)
 

@@ -51,12 +51,9 @@ def normalize_covolume(group: ClosedSubgroup) -> ClosedSubgroup:
     _require_plane(group)
     if abs(systole(group) - 1.0) > _TOL:
         raise NotUnitSystole("the shortest nonzero vector must have norm 1")
-    p, q = group.group_type
-    if (p, q) == (0, 2):
+    if group.group_type == (0, 2):
         return scale(group, covolume(group) ** -0.5)
-    if (p, q) == (0, 1):
-        return scale(group, 0.0)
-    raise NotUnitSystole("unit-systole subgroups are lattices or rank one")
+    return scale(group, 0.0)  # (0,1): other types have systole 0 or inf
 
 
 def suspension_map(group: ClosedSubgroup, t: float) -> ClosedSubgroup:
@@ -160,8 +157,6 @@ def stabilizer_order(group: ClosedSubgroup) -> int:
         raise NotUnitSystole("the shortest vector must have norm 1")
     if group.group_type == (0, 1):
         return 1
-    if group.group_type != (0, 2):
-        raise NotUnitSystole("unit-systole subgroups are lattices or rank one")
 
     rotated = []
     for angle in (math.pi / 3, math.pi / 2):
@@ -234,9 +229,6 @@ def atlas_rows(n_re: int = 41, n_im: int = 41, im_max: float = 3.0):
     for x in np.linspace(-0.5, 0.5, n_re):
         y_min = math.sqrt(max(0.0, 1.0 - x * x))
         for y in np.linspace(y_min, im_max, n_im):
-            z = complex(x, y)
-            if abs(z) < 1.0 - 1e-12:
-                continue
-            lattice = _lattice_from_complex(1.0 + 0j, z)
+            lattice = _lattice_from_complex(1.0 + 0j, complex(x, y))
             rows.append((x, y, stabilizer_order(lattice)))
     return rows

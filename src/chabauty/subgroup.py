@@ -34,8 +34,9 @@ class ClosedSubgroup:
     ``continuous_basis`` has orthonormal rows; ``discrete_basis`` rows are
     independent, orthogonal to the continuous part and LLL-reduced to a
     fixed point, which the solver takes as given: ``make_subgroup`` builds
-    them.  Instances are immutable and shareable across threads; what is
-    derived from them is kept on them by ``_kept``.
+    them; a hand-built instance must keep these invariants.  Instances
+    are immutable and shareable across threads; what is derived from
+    them is kept on them by ``_kept``.
     """
 
     ambient_dim: int
@@ -293,5 +294,5 @@ def random_subgroup(n: int, group_type, seed: int) -> ClosedSubgroup:
         s = math.exp(rng.uniform(math.log(lo / rmin), math.log(hi / rmax)))
         basis = _lattice.canonical_rows(s * coeff @ comp)
         return ClosedSubgroup(n, cont, basis)
-    raise EnumerationBudgetExceeded(
+    raise EnumerationBudgetExceeded(  # pragma: no cover: needs 64 failed draws
         "could not draw a basis with norms in [0.6, 2.4] in 64 tries")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import chabauty as ch
-from chabauty.cli import run
+from chabauty.cli import cli_entry, main, run
 from chabauty.serialize import dumps, subgroup_from_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -285,6 +285,23 @@ def test_dumps_of_other_values():
     assert dumps(1.5 - 2j) == "[1.5, -2]"
     with pytest.raises(TypeError, match="set"):
         dumps({1, 2})
+
+
+def test_info_reports_the_covolume_of_a_plane_subgroup(capsys):
+    code, out = invoke(["info", str(FIXTURES / "hexagonal.json")], capsys)
+    assert code == 0
+    assert json.loads(out)["covolume"] == pytest.approx(math.sqrt(3) / 2)
+
+
+def test_main_and_console_entry(capsys, monkeypatch):
+    argv = ["fiber-dim", "3", "0", "1", "0", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "1\n"
+    monkeypatch.setattr(sys, "argv", ["chabauty"] + argv)
+    with pytest.raises(SystemExit) as info:
+        cli_entry()
+    assert info.value.code == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_cli_subprocess_entry():

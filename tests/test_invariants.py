@@ -97,6 +97,7 @@ def test_norms_rotation_invariance(rng):
 def test_systole():
     assert ch.systole(ch.standard_subgroup(2, 0, 2)) == pytest.approx(1.0)
     assert math.isinf(ch.systole(ch.make_subgroup(2)))
+    assert math.isinf(ch.systole(ch.make_subgroup(0)))
     g = ch.make_subgroup(2, None, [(3.0, 0.0), (0.0, 1.0)])
     assert ch.systole(g) == pytest.approx(1.0)
 
@@ -106,6 +107,7 @@ def test_covolume_cases():
     hexl = ch.make_subgroup(2, None, [(1.0, 0.0), (0.5, math.sqrt(3) / 2)])
     assert ch.covolume(hexl) == pytest.approx(math.sqrt(3) / 2)
     assert ch.covolume(ch.standard_subgroup(2, 1, 0)) is INDETERMINATE
+    assert repr(INDETERMINATE) == "Indeterminate"
     assert ch.covolume(ch.standard_subgroup(2, 1, 1)) == 0.0
     assert ch.covolume(ch.standard_subgroup(2, 2, 0)) == 0.0
     assert math.isinf(ch.covolume(ch.standard_subgroup(2, 0, 1)))

@@ -209,6 +209,52 @@ def test_rejection_reasons(rows, base_type, reason):
     assert report.reason == reason
 
 
+# hand-built subgroups that break the ClosedSubgroup invariants: discrete
+# rows inside the continuous part, or a badly skewed discrete basis
+@pytest.mark.parametrize("cont, disc, base_type, error, reason", [
+    ([[1, 0]], [[1e-3, 0]], (2, 0), InconsistentData,
+     "fine block dimension mismatch"),
+    ([[1, 0]], [[1, 0]], (1, 1), InconsistentData,
+     "medium block dimension mismatch"),
+    ([[1, 0]], [[20, 1e-8]], (1, 0), NotInNeighborhood,
+     "coarse lattice rank mismatch"),
+    # rows (0, 31) and (0.01, -31e7) turned by 0.05 rad: the fine vector
+    # (0.01, 0) is the second row plus 1e7 times the first, and one unit
+    # in the last place of 3e8 (6e-8) left in its coarse coordinate
+    # exceeds 1e-8
+    ([], [[-1.5493542473910282, 30.961258072243954],
+          [15493542.483897787, -309612580.72193974]], (1, 0),
+     InconsistentData, "fine lattice escapes the fine block"),
+], ids=["fine-in-continuous", "medium-in-continuous", "coarse-in-continuous",
+        "skewed-basis"])
+def test_hand_built_subgroups_are_refused(cont, disc, base_type, error,
+                                          reason):
+    g = ch.ClosedSubgroup(2, np.array(cont, dtype=float).reshape(-1, 2), disc)
+    base = ch.standard_subgroup(2, *base_type)
+    with pytest.raises(error) as info:
+        ch.local_decomposition(g, base, 0.1)
+    assert str(info.value) == reason
+    report = ch.in_scale_neighborhood(g, base, 0.1)
+    assert not report
+    assert report.reason == reason
+
+
+def test_unnormalised_continuous_row_decomposes_like_its_canonical_form():
+    # a continuous row of length 1e10 scales the rounding of the rotation
+    # by 1e10; the blocks come from the orthonormalised row all the same
+    angle = 0.01
+    g = ch.ClosedSubgroup(
+        2, [[1e10 * math.cos(angle), 1e10 * math.sin(angle)]], [])
+    base = ch.standard_subgroup(2, 1, 0)
+    lin, loc = ch.local_decomposition(g, base, 0.1)
+    lin_c, loc_c = ch.local_decomposition(
+        ch.make_subgroup(2, g.continuous_basis), base, 0.1)
+    np.testing.assert_array_equal(lin.fine, lin_c.fine)
+    np.testing.assert_array_equal(loc.fine_part.continuous_basis,
+                                  loc_c.fine_part.continuous_basis)
+    assert loc.fine_part.discrete_rank == loc_c.fine_part.discrete_rank == 0
+
+
 def test_reconstruct_base_point():
     base = ch.standard_subgroup(4, 1, 2)
     lin, loc = ch.local_decomposition(base, base, 0.1)

@@ -78,6 +78,7 @@ def test_suspension_on_lines_and_at_infinity():
                                [[2 * math.cos(0.3), 2 * math.sin(0.3)]],
                                atol=1e-12)
     assert ch.chabauty_distance(ch.suspension_map(line, 0.0), line) == 0.0
+    assert ch.type_of(ch.suspension_map(line, math.inf)) == (0, 0)
     top = ch.suspension_map(ch.standard_subgroup(2, 0, 2), math.inf)
     assert ch.type_of(top) == (0, 0)
     with pytest.raises(NotInC1):
@@ -278,6 +279,7 @@ def test_cross_section_vertical_gluing():
 def test_cross_section_infinity():
     g = ch.cross_section(ch.INFINITY_POINT)
     assert ch.type_of(g) == (0, 1)
+    assert ch.cross_section_phase(ch.INFINITY_POINT) == 0.0
 
 
 def test_cross_section_singular_points():

@@ -51,6 +51,13 @@ def test_make_subgroup_rejects_non_finite(cont, disc):
         ch.make_subgroup(2, cont, disc)
 
 
+def test_make_subgroup_takes_one_flat_generator():
+    g = ch.make_subgroup(2, None, [1.0, 0.0])
+    assert g.group_type == (0, 1)
+    np.testing.assert_array_equal(np.abs(g.discrete_basis), [[1.0, 0.0]])
+    assert repr(g) == "ClosedSubgroup(n=2, type=(0,1))"
+
+
 def test_make_subgroup_drops_absorbed_generators():
     g = ch.make_subgroup(2, [(1.0, 0.0)], [(3.0, 0.0)])
     assert g.group_type == (1, 0)
