@@ -415,12 +415,18 @@ class LatticeSolver:
         self._bstar_sq = np.einsum("ij,ij->i", self._bstar, self._bstar)
 
     def nearest_plane(self, targets: np.ndarray) -> np.ndarray:
-        """Babai nearest-plane coefficients, vectorized over rows."""
+        """Babai nearest-plane coefficients, vectorized over rows; raises
+        EnumerationBudgetExceeded on a coefficient not below 2^52."""
         y = np.atleast_2d(np.asarray(targets, dtype=float)).copy()
         m = y.shape[0]
         coeffs = np.zeros((m, self.rank), dtype=np.int64)
         for i in range(self.rank - 1, -1, -1):
             c = np.round((y @ self._bstar[i]) / self._bstar_sq[i])
+            top = abs(c).max(initial=0.0)
+            if not top < _EXACT:
+                raise EnumerationBudgetExceeded(
+                    f"nearest plane meets a coefficient of size {top:.6g}; "
+                    "floats hold integers exactly below 2^52")
             coeffs[:, i] = c.astype(np.int64)
             y -= np.outer(c, self.basis[i])
         return coeffs

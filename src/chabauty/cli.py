@@ -8,6 +8,7 @@ raises ValueError for it, and the error object names that kind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +33,11 @@ def _parent() -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The shared parser, built on the first call and returned by every
+    later one.  Parsing reads it without changing it, so ``run`` may be
+    called repeatedly and from threads; callers must not mutate it."""
     ap = argparse.ArgumentParser(
         prog="chabauty",
         description="invariants, duality, metric and decompositions for "
@@ -109,7 +114,7 @@ def _load_params(path) -> MetricParams:
     an invalid value, such as a boolean or a cap that is not an
     integer."""
     if not path:
-        return MetricParams()
+        return metric.DEFAULT_PARAMS
     with open(path, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):

@@ -52,6 +52,10 @@ class ClosedSubgroup:
 
         cb = shaped(self.continuous_basis)
         db = shaped(self.discrete_basis)
+        if cb.shape[0] + db.shape[0] > self.ambient_dim:
+            raise DimensionMismatch(
+                f"type ({cb.shape[0]},{db.shape[0]}) does not fit in "
+                f"dimension {self.ambient_dim}")
         cb.setflags(write=False)
         db.setflags(write=False)
         object.__setattr__(self, "continuous_basis", cb)

@@ -2,12 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import chabauty as ch
-from chabauty.cli import cli_entry, main, run
+from chabauty.cli import build_parser, cli_entry, main, run
 from chabauty.serialize import dumps, subgroup_from_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -253,6 +254,56 @@ def test_schema_violation_is_a_domain_error(tmp_path, capsys, text, named):
     error = json.loads(out)["error"]
     assert error["kind"] == "DimensionMismatch"
     assert named in error["message"]
+
+
+# one command of each kind whose parse could carry state into the next:
+# a --format and its default, a usage error, a batch, --seed and its
+# default
+SEQUENCE = [
+    ["atlas", "--re-steps", "3", "--im-steps", "2", "--format", "json"],
+    ["atlas", "--re-steps", "3", "--im-steps", "2"],
+    ["dist", str(FIXTURES / "z3.json")],
+    ["info", str(FIXTURES / "z3.json"), str(FIXTURES / "hexagonal.json")],
+    ["sample", "--n", "3", "--type", "1", "1", "--seed", "7"],
+    ["sample", "--n", "3", "--type", "1", "1"],
+]
+
+
+def run_sequence(order, folder):
+    """(exit code, text written to --out or None) of each command of
+    SEQUENCE, in SEQUENCE's order, run in the given order."""
+    folder.mkdir()
+    results = {}
+    for i in order:
+        path = folder / f"{i}.out"
+        code = run(SEQUENCE[i] + ["--out", str(path)])
+        results[i] = (code, path.read_text() if path.exists() else None)
+    return [results[i] for i in range(len(SEQUENCE))]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    forwards = list(range(len(SEQUENCE)))
+    serial = run_sequence(forwards, tmp_path / "forwards")
+    assert run_sequence(forwards[::-1], tmp_path / "reverse") == serial
+    codes = [code for code, _ in serial]
+    assert codes == [0, 0, 2, 0, 0, 0]
+    assert json.loads(serial[0][1])
+    assert serial[1][1].startswith("re,im,stabilizer_order\n")
+    assert serial[4][1] != serial[5][1]
+    # four threads at once, switching often, each starting the sequence
+    # at a different command, give the serial outputs
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(
+                lambda k: run_sequence(forwards[k:] + forwards[:k],
+                                       tmp_path / f"thread{k}"),
+                range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == [serial] * 4
 
 
 def test_usage_error_exit_code(capsys):

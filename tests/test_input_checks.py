@@ -54,6 +54,9 @@ CASES = [
     ("subgroup-too-many-generators",
      lambda: ch.make_subgroup(2, None, [(1, 0), (0, 1), (1, 1)]),
      NonClosedInput, "more discrete generators than the complement can carry"),
+    ("subgroup-rows-past-dimension",
+     lambda: ch.ClosedSubgroup(2, [[1, 0]], [[0, 1], [1, 1]]),
+     DimensionMismatch, "type (1,2) does not fit in dimension 2"),
     ("subgroup-standard-type",
      lambda: ch.standard_subgroup(2, 2, 1),
      InvalidType, "type (2,1) does not fit in dimension 2"),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chabauty as ch
 from chabauty import _lattice
 from chabauty.errors import EnumerationBudgetExceeded
 
@@ -238,6 +239,30 @@ def test_generators_below_zero_tol_are_unit_relations():
 def test_lll_reduce_raises_on_non_finite_rows(rows):
     with pytest.raises(EnumerationBudgetExceeded):
         _lattice.lll_reduce(rows)
+
+
+# a skewed rank-3 basis: the nearest-plane coefficients of its class
+# targets are far past 2^52, and further levels would turn them into NaN
+SKEWED = [[717226.8825271587, -510464.5550176106, -3219178.8522220436],
+          [1.2269444973601022, 0.18035710748139555, 0.2342641514771704],
+          [-399596502550.2343, 284400732641.49426, 1793536524870.7004]]
+
+
+@pytest.mark.parametrize("basis, targets, number", [
+    (SKEWED, 0.5 * np.array(SKEWED).sum(axis=0), "2.06502e+21"),
+    (np.eye(2), [[math.nan, 0.0]], "nan"),
+    (np.eye(2), [[-2.0 ** 52, 0.0]], "4.5036e+15"),
+])
+def test_nearest_plane_refuses_an_inexact_coefficient(basis, targets, number):
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=f"of size {re.escape(number)};.*2\\^52"):
+        _lattice.LatticeSolver(basis).nearest_plane(targets)
+
+
+def test_norms_of_a_skewed_basis_are_a_budget_error():
+    group = ch.ClosedSubgroup(3, [], SKEWED)
+    with pytest.raises(EnumerationBudgetExceeded, match="nearest plane"):
+        ch.norms(group)
 
 
 def stress_corpus(seed=2024, per_n=100):
