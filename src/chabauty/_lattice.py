@@ -4,7 +4,8 @@ classes of L/2L and covering radii.
 
 Bases are stored as row vectors.  All reductions act by integer row
 operations only, so the generated lattice is preserved exactly up to
-floating point error in the vector entries themselves.
+floating point error in the vector entries themselves.  Every rank
+decision of the package follows one rule without units, ``negligible``.
 
 One LLL loop, ``_lll``, reduces independent bases (``lll_reduce``) and,
 run on generators augmented by their integer coefficients, dependent
@@ -28,6 +29,8 @@ norms break ties by, ``_ball_order``.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded
@@ -42,17 +45,34 @@ _WALK_BUDGET = 2_000_000  # ratio tests on one level of the Voronoi walk
 _JITTER_SEED = 20240817  # fixes the perturbation of that walk
 
 
+def negligible(size, ref):
+    """The one rank rule: a residual, coordinate or singular value
+    ``size`` counts as zero when it is at most ``RANK_TOL`` times
+    ``ref``, the size of the row or matrix it came from.  It has no
+    units, so every rank decision commutes with scaling."""
+    return size <= RANK_TOL * ref
+
+
+def _rank(sv) -> int:
+    """How many of the singular values ``sv``, largest first, are not
+    ``negligible`` next to the largest."""
+    sv = sv.tolist()
+    return sum(not negligible(x, sv[0]) for x in sv)
+
+
+def rank(matrix) -> int:
+    """Numerical rank of a matrix, 0 when it is empty."""
+    return _rank(np.linalg.svd(matrix, compute_uv=False))
+
+
 def orthonormalize(rows) -> np.ndarray:
     """Gram-Schmidt with rank detection.
 
     Keeps the order of the input rows, so an already orthonormal family
-    is returned essentially unchanged.  Rows that are dependent on the
-    previous ones (residual below ``RANK_TOL`` relative to the row size)
-    are dropped.
+    is returned essentially unchanged.  Rows whose residual against the
+    previous ones is ``negligible`` next to the row are dropped.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[1] if rows.ndim == 2 else 0)
     out = []
     for v in rows:
         r = v.copy()
@@ -62,21 +82,18 @@ def orthonormalize(rows) -> np.ndarray:
         for u in out:
             r -= (r @ u) * u
         nr = np.linalg.norm(r)
-        if nr > RANK_TOL * max(1.0, np.linalg.norm(v)):
+        if not negligible(nr, np.linalg.norm(v)):
             out.append(r / nr)
     if not out:
         return np.zeros((0, rows.shape[1]))
     return np.array(out)
 
 
-def orthonormal_complement(rows, n: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the row span."""
-    rows = np.asarray(rows, dtype=float).reshape(-1, n)
-    if rows.shape[0] == 0:
-        return np.eye(n)
-    u, s, vt = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
-    return vt[rank:]
+def orthonormal_complement(rows) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the row span of
+    a (k, n) array."""
+    _, sv, vt = np.linalg.svd(rows, full_matrices=True)
+    return vt[_rank(sv):]
 
 
 def dual_coefficient_norms(basis: np.ndarray) -> np.ndarray:
@@ -145,7 +162,8 @@ def _lll(rows, dim: int) -> np.ndarray:
                         "floats hold integers exactly below 2^52")
                 _gso_row(v, bstar, bsq, mu, i)
         lhs = bsq[i]
-        rhs = (_DELTA - mu[i, i - 1] ** 2) * bsq[i - 1] - _EPS * (1.0 + lhs)
+        rhs = ((_DELTA - mu[i, i - 1] ** 2) * bsq[i - 1]
+               - _EPS * (lhs + bsq[i - 1]))
         if i == 0 or lhs >= rhs:
             i += 1
         elif lhs < rhs:
@@ -169,9 +187,9 @@ def lll_reduce(basis) -> np.ndarray:
 
 
 def canonical_rows(basis) -> np.ndarray:
-    """Sign-normalized representative of a reduced basis: the first
-    coordinate larger than ``RANK_TOL`` in absolute value is made
-    positive.
+    """Sign-normalized representative of a reduced basis: in each row,
+    the first coordinate that is not ``negligible`` next to the row is
+    made positive.
 
     Only signs are touched.  Reordering rows of an LLL-reduced basis
     can break the reduction (the exchange condition constrains
@@ -180,8 +198,10 @@ def canonical_rows(basis) -> np.ndarray:
     """
     b = np.array(basis, dtype=float)
     for row in b:
-        for x in row:
-            if abs(x) > RANK_TOL:
+        coords = row.tolist()
+        size = math.hypot(*coords)
+        for x in coords:
+            if not negligible(abs(x), size):
                 if x < 0:
                     row *= -1.0
                 break
@@ -321,18 +341,25 @@ def search_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
     return pts[keep], cs[keep], sq[keep]
 
 
-def _ball_order(pts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Indices that sort the rows ``pts``, of norms ``sizes``, by norm,
-    then lexicographically, on keys rounded to 9 digits."""
-    keys = np.round(pts, 9)
-    return np.lexsort([*keys.T[::-1], np.round(sizes, 9)])
+def _ball_keys(pts: np.ndarray, sizes: np.ndarray):
+    """The rows ``pts`` and their norms ``sizes`` divided by the power of
+    two at or below the largest norm, rounded to 9 digits: keys without
+    units, the raw values rounded when the largest norm lies in [1, 2)."""
+    unit = 2.0 ** (1 - math.frexp(max(sizes.tolist(), default=0.0))[1])
+    return np.round(pts * unit, 9), np.round(sizes * unit, 9)
+
+
+def _ball_order(keys: np.ndarray, size_keys: np.ndarray) -> np.ndarray:
+    """Indices that sort points by norm, then lexicographically, on their
+    ``_ball_keys``."""
+    return np.lexsort([*keys.T[::-1], size_keys])
 
 
 def enumerate_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
     """The points of ``search_ball`` with their coefficients, in
     ``_ball_order``."""
     pts, cs = search_ball(basis, radius, cap)[:2]
-    order = _ball_order(pts, np.linalg.norm(pts, axis=1))
+    order = _ball_order(*_ball_keys(pts, np.linalg.norm(pts, axis=1)))
     return pts[order], cs[order]
 
 
@@ -490,27 +517,25 @@ class LatticeSolver:
     def successive_norms(self):
         """The finite successive norms and their realizers (rows), from
         the ``class_vectors`` signed to be the lexicographically smaller
-        of +-v and taken in ``_ball_order``.  Each step accepts the first
-        vector whose residual against the accepted directions is above
-        ``RANK_TOL`` (times its norm, when that exceeds 1) and projects
-        its direction out of the vectors after it."""
+        of +-v on their ``_ball_keys`` and taken in ``_ball_order``.
+        Each step accepts the first vector whose residual against the
+        accepted directions is not ``negligible`` next to its norm and
+        projects its direction out of the vectors after it.  The class
+        vectors generate the lattice, so each step finds one."""
         pts = self.class_vectors() @ self.basis
-        keys = np.round(pts, 9)
+        sizes = np.linalg.norm(pts, axis=1)
+        keys, size_keys = _ball_keys(pts, sizes)
         flip = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)] > 0
         pts[flip] *= -1.0
-        sizes = np.linalg.norm(pts, axis=1)
-        order = _ball_order(pts, sizes)
+        keys[flip] *= -1.0
+        order = _ball_order(keys, size_keys)
         pts, sizes = pts[order], sizes[order]
         resid = pts.copy()
-        thresholds = RANK_TOL * np.maximum(1.0, sizes)
         picked, start = [], 0
         while len(picked) < self.rank:
-            above = np.flatnonzero(
-                np.linalg.norm(resid[start:], axis=1) > thresholds[start:])
-            # only lattices under RANK_TOL's absolute floor get here
-            if above.size == 0:  # pragma: no cover: below the rank floor
-                break
-            i = start + int(above[0])
+            above = ~negligible(np.linalg.norm(resid[start:], axis=1),
+                                sizes[start:])
+            i = start + int(np.flatnonzero(above)[0])
             u = resid[i] / np.linalg.norm(resid[i])
             picked.append(i)
             start = i + 1

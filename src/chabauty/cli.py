@@ -25,11 +25,7 @@ from .subgroup import random_subgroup, standard_subgroup, type_of
 
 def _parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--params", metavar="FILE",
-                        help="metric parameter overrides (JSON)")
-    parent.add_argument("--seed", type=int, default=0)
     parent.add_argument("--out", metavar="PATH")
-    parent.add_argument("--format", choices=["json", "csv"])
     return parent
 
 
@@ -55,6 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("dist", parents=[parent],
                          help="distance between two subgroups")
     cmd.add_argument("inputs", nargs=2)
+    cmd.add_argument("--params", metavar="FILE",
+                     help="metric parameter overrides (JSON)")
 
     cmd = sub.add_parser("decompose", parents=[parent],
                          help="scale decomposition at an aligned base point")
@@ -99,12 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--n", type=int, required=True)
     cmd.add_argument("--type", type=int, nargs=2, required=True,
                      metavar=("P", "Q"))
+    cmd.add_argument("--seed", type=int, default=0)
 
     cmd = sub.add_parser("atlas", parents=[parent],
                          help="stabilizer orders over a base-point grid")
     cmd.add_argument("--re-steps", type=int, default=41)
     cmd.add_argument("--im-steps", type=int, default=41)
     cmd.add_argument("--im-max", type=float, default=3.0)
+    cmd.add_argument("--format", choices=["json", "csv"], default="csv")
     return ap
 
 
@@ -168,13 +168,14 @@ def _stab_one(path):
     return {"order": plane.stabilizer_order(load_subgroup(path))}
 
 
-def _run_command(ns, params: MetricParams) -> str:
+def _run_command(ns) -> str:
     cmd = ns.command
     if cmd == "info":
         results = _map_inputs(_info_one, ns.inputs)
     elif cmd == "dual":
         results = _map_inputs(_dual_one, ns.inputs)
     elif cmd == "dist":
+        params = _load_params(ns.params)
         a = load_subgroup(ns.inputs[0])
         b = load_subgroup(ns.inputs[1])
         results = [{"distance": chabauty_distance(a, b, params)}]
@@ -263,11 +264,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
-    if ns.format == "csv" and ns.command != "atlas":
-        sys.stderr.write("error: only the atlas command emits CSV\n")
-        return 2
     try:
-        text = _run_command(ns, _load_params(ns.params))
+        text = _run_command(ns)
     except (ChabautyError, OSError, ValueError) as exc:
         error = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
         _write(ns.out, dumps(error) + "\n")

@@ -19,13 +19,10 @@ def dual(group: ClosedSubgroup) -> ClosedSubgroup:
     n = group.ambient_dim
     cb = group.continuous_basis
     db = group.discrete_basis
-    spanned = np.vstack([cb, db])
-    comp = _lattice.orthonormal_complement(spanned, n)
-    if db.shape[0] == 0:
-        return make_subgroup(n, comp, None)
-    # dualize the lattice inside its own span, in an orthonormal frame
-    # of that span to keep the inversion well conditioned
+    # an orthonormal frame of the lattice's span keeps the inversion
+    # well conditioned, and the complement free of the lattice's scale
     w = _lattice.orthonormalize(db)
+    comp = _lattice.orthonormal_complement(np.vstack([cb, w]))
     coords = db @ w.T
     dual_coords = np.linalg.inv(coords).T
     dual_rows = dual_coords @ w

@@ -115,16 +115,15 @@ def discrete_covolume(group: ClosedSubgroup) -> float:
 
 def delta_type(group: ClosedSubgroup, delta: float) -> GroupType | None:
     """Type of the subgroup as seen at scale delta, or None when some
-    norm sits within 1e-9 (relative to the threshold, if larger than 1)
-    of delta or 1 / delta: the subgroup is not decomposable there."""
+    norm v sits on a threshold t, delta or 1 / delta: |v - t| <= 1e-9 t.
+    The subgroup is not decomposable there."""
     if not 0 < delta < 1:
         raise ValueError("the scale must lie in (0, 1)")
     vals = norms(group)
     inv = 1.0 / delta
-    for v in vals:
-        if not math.isinf(v):
-            if abs(v - delta) <= 1e-9 or abs(v - inv) <= 1e-9 * inv:
-                return None
+    for t in (delta, inv):
+        if np.any(abs(vals - t) <= 1e-9 * t):
+            return None
     p = int(np.sum(vals < delta))
     q = int(np.sum((vals > delta) & (vals < inv)))
     return GroupType(p, q)

@@ -122,24 +122,19 @@ def linear_decomposition(group: ClosedSubgroup,
         raise NotDecomposable(
             f"some norm sits on the scale threshold {delta} or {1 / delta}")
     phat, qhat = dt
-    n = group.ambient_dim
     vals, realizers = generation_data(group)
     p0 = group.continuous_dim
     fin = vals[p0:p0 + realizers.shape[0]]
-    rows = [group.continuous_basis]
-    if np.any(fin < delta):
-        rows.append(realizers[fin < delta])
-    fine = _lattice.orthonormalize(np.vstack(rows))
+    fine = _lattice.orthonormalize(
+        np.vstack([group.continuous_basis, realizers[fin < delta]]))
     if fine.shape[0] != phat:
         raise InconsistentData("fine block dimension mismatch")
-    medium = np.zeros((0, n))
-    below = realizers[fin < 1.0 / delta] if realizers.size else realizers
-    if below.shape[0]:
-        proj = below - (below @ fine.T) @ fine
-        medium = _lattice.orthonormalize(proj)
+    # the fine realizers would project to rounding noise
+    medium = realizers[(fin >= delta) & (fin < 1.0 / delta)]
+    medium = _lattice.orthonormalize(medium - (medium @ fine.T) @ fine)
     if medium.shape[0] != qhat:
         raise InconsistentData("medium block dimension mismatch")
-    coarse = _lattice.orthonormal_complement(np.vstack([fine, medium]), n)
+    coarse = _lattice.orthonormal_complement(np.vstack([fine, medium]))
     return LinearDecomposition(fine, medium, coarse)
 
 

@@ -111,8 +111,8 @@ def make_subgroup(n: int, continuous_gens=None,
     otherwise the generated group would wind densely in some direction
     (or carry an undetectable redundancy) and NonClosedInput is raised.
     A NaN or infinite entry, or a generator whose squared norm
-    overflows, raises NonFiniteInput.  Rank decisions read
-    ``_lattice.RANK_TOL``.
+    overflows, raises NonFiniteInput.  Rank decisions follow
+    ``_lattice.negligible``, so canonicalization commutes with scaling.
     """
     if n < 0:
         raise DimensionMismatch("ambient dimension must be nonnegative")
@@ -122,24 +122,18 @@ def make_subgroup(n: int, continuous_gens=None,
         raise NonFiniteInput(
             "generators must have finite entries and squared norms")
     cbasis = _lattice.orthonormalize(cont)
+    dbasis = np.zeros((0, n))
     if disc.shape[0]:
         proj = disc - (disc @ cbasis.T) @ cbasis
-        sizes = np.linalg.norm(proj, axis=1)
-        ref = np.maximum(1.0, np.linalg.norm(disc, axis=1))
-        proj = proj[sizes > _lattice.RANK_TOL * ref]
-    else:
-        proj = disc
-    if proj.shape[0]:
+        proj = proj[~_lattice.negligible(np.linalg.norm(proj, axis=1),
+                                         np.linalg.norm(disc, axis=1))]
         if proj.shape[0] > n - cbasis.shape[0]:
             raise NonClosedInput(
                 "more discrete generators than the complement can carry")
-        sv = np.linalg.svd(proj, compute_uv=False)
-        if sv[-1] <= _lattice.RANK_TOL * max(1.0, sv[0]):
+        if _lattice.rank(proj) < proj.shape[0]:
             raise NonClosedInput(
                 "projected discrete generators are dependent over the reals")
         dbasis = _lattice.canonical_rows(_lattice.lll_reduce(proj))
-    else:
-        dbasis = np.zeros((0, n))
     return ClosedSubgroup(n, cbasis, dbasis)
 
 
@@ -235,8 +229,7 @@ def apply_linear(matrix, group: ClosedSubgroup) -> ClosedSubgroup:
     n = group.ambient_dim
     if g.shape != (n, n):
         raise DimensionMismatch(f"expected a {n}x{n} matrix, got {g.shape}")
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] <= _lattice.RANK_TOL * max(1.0, sv[0]):
+    if _lattice.rank(g) < n:
         raise SingularMatrix("matrix is singular within tolerance")
     return make_subgroup(n,
                          group.continuous_basis @ g.T,

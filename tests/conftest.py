@@ -6,9 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 import chabauty as ch
 from chabauty.errors import EnumerationBudgetExceeded
+
+# every property test: no deadline, and the same examples on every run
+settings.register_profile("tier1", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("tier1")
 
 
 def brute_points_in_ball(basis, radius):
@@ -305,3 +312,12 @@ def random_group(rng, n, group_type=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@st.composite
+def groups(draw, max_n=4):
+    """A ``random_subgroup`` of a drawn type in dimension 1..max_n."""
+    n = draw(st.integers(1, max_n))
+    group_type = draw(st.sampled_from(ch.all_types(n)))
+    return ch.random_subgroup(n, group_type,
+                              seed=draw(st.integers(0, 2 ** 32 - 1)))

@@ -311,6 +311,27 @@ def test_usage_error_exit_code(capsys):
     assert run(["info", "x.json", "--format", "csv"]) == 2
 
 
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--format", "json"],
+                                  ["--params", "p.json"]])
+def test_options_of_other_commands_are_usage_errors(flag, capsys):
+    assert run(["info", *flag, str(FIXTURES / "z3.json")]) == 2
+
+
+def test_info_and_dual_of_a_small_lattice(tmp_path, capsys):
+    path = tmp_path / "small.json"
+    small = ch.scale(ch.make_subgroup(2, None, [(10.0, 0.0), (0.0, 1.0)]),
+                     1e-9)
+    path.write_text(dumps(ch.subgroup_to_dict(small)))
+    code, out = invoke(["info", str(path)], capsys)
+    assert code == 0
+    info = json.loads(out)
+    assert info["type"] == [0, 2]
+    assert info["norms"] == pytest.approx([1e-9, 1e-8], rel=1e-12)
+    code, out = invoke(["dual", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["type"] == [0, 2]
+
+
 def test_domain_error_object(capsys):
     code, out = invoke(["reduce2", str(FIXTURES / "z3.json")], capsys)
     assert code == 1

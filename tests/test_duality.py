@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import chabauty as ch
 
-from conftest import random_group
+from conftest import groups, random_group
 
 
 def test_dual_of_integer_lattice_is_itself():
@@ -55,15 +55,7 @@ def test_dual_covolume_reciprocity(rng):
         assert prod == pytest.approx(1.0, abs=1e-9)
 
 
-@st.composite
-def groups(draw, max_n=4):
-    n = draw(st.integers(1, max_n))
-    group_type = draw(st.sampled_from(ch.all_types(n)))
-    return ch.random_subgroup(n, group_type,
-                              seed=draw(st.integers(0, 2 ** 32 - 1)))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(g=groups(max_n=5))
 def test_dual_type_formula_and_involution(g):
     n = g.ambient_dim
@@ -80,7 +72,7 @@ def assert_same_norms(a, b):
     np.testing.assert_allclose(nb[finite], na[finite], rtol=1e-9, atol=0)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(g=groups(), seed=st.integers(0, 2 ** 32 - 1))
 def test_orthogonal_maps_keep_type_and_norms(g, seed):
     rng = np.random.default_rng(seed)

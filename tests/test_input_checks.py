@@ -114,3 +114,9 @@ CASES = [
 def test_input_check_raises(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_the_zero_space_maps_to_itself():
+    r0 = ch.make_subgroup(0)
+    for g in (ch.dual(r0), ch.apply_linear(np.zeros((0, 0)), r0)):
+        assert (g.ambient_dim, ch.type_of(g)) == (0, (0, 0))

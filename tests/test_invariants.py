@@ -130,6 +130,15 @@ def test_delta_type_examples():
     assert ch.delta_type(tiny, 0.1) is None
 
 
+def test_delta_type_window_is_relative():
+    def line(size):
+        return ch.scale(ch.standard_subgroup(1, 0, 1), size)
+    assert ch.delta_type(line(5e-13), 1e-12) == (1, 0)
+    assert ch.delta_type(line(1e-12 * (1 + 1e-10)), 1e-12) is None
+    assert ch.delta_type(line(1e-12 * (1 + 1e-8)), 1e-12) == (0, 1)
+    assert ch.delta_type(line(1e12 * (1 - 1e-10)), 1e-12) is None
+
+
 def test_delta_type_below_type(rng):
     for _ in range(25):
         n = int(rng.integers(1, 5))
@@ -236,7 +245,7 @@ def test_class_query_reach():
                                            rel=1e-12)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), q=st.integers(1, 5),
        spectrum=st.sampled_from(["gaussian", "log", "long"]),
        t=st.floats(0.05, 20.0))

@@ -141,7 +141,7 @@ def unreduced_basis(rng, n, q):
     return mix @ basis
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
        data=st.data())
 def test_lll_reduce_is_reduced_and_unimodular(seed, n, data):
@@ -160,7 +160,7 @@ def test_lll_reduce_is_reduced_and_unimodular(seed, n, data):
     assert abs(exact_det(np.round(coords))) == 1
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
        data=st.data())
 def test_basis_from_generators_properties(seed, n, data):

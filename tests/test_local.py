@@ -408,7 +408,7 @@ def test_coarse_medium_offset_is_a_shortest_coset_representative():
     assert same_group(ch.reconstruct(lin, loc), g)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_reconstruct_inverts_local_decomposition(seed, data):
     """Near an aligned base point of type (p, q) at delta = 0.1: fine

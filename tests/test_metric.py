@@ -370,7 +370,7 @@ def _gap_or_message(a, b, radius, params):
         return str(exc)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
        data=st.data())
 def test_branch_and_bound_matches_the_reference(seed, n, data):
