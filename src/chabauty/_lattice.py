@@ -36,6 +36,7 @@ import numpy as np
 from .errors import EnumerationBudgetExceeded
 
 RANK_TOL = 1e-9  # relative size below which a row counts as dependent
+BALL = 1.0 + 1e-12  # |x| <= R * BALL: the ball of radius R, scale-free
 _EPS = 1e-12
 _DELTA = 0.75
 _TIE = 0.5 + 1e-9  # |mu| up to which a row counts as size-reduced
@@ -314,8 +315,8 @@ def _fincke_pohst(mu, bstar_sq, centres, bound2, cap=1_000_000):
 
 
 def search_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
-    """All lattice points of squared norm <= radius^2 (tiny slack
-    included), in the order the Fincke-Pohst search finds them.
+    """All lattice points of norm at most ``radius * BALL``, in the
+    order the Fincke-Pohst search finds them.
 
     Returns ``(points, coeffs, sq_norms)``; the origin is always
     included.  For callers that need no order, such as a maximum or a
@@ -324,13 +325,9 @@ def search_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
     """
     basis = np.asarray(basis, dtype=float)
     q = basis.shape[0]
-    n = basis.shape[1] if basis.ndim == 2 else 0
     if not 0 <= radius < np.inf:
         raise ValueError("radius must be finite and nonnegative")
-    if q == 0:
-        return (np.zeros((1, n)), np.zeros((1, 0), dtype=np.int64),
-                np.zeros(1))
-    rcut = radius * (1.0 + 1e-12) + 1e-12
+    rcut = radius * BALL
     rcut2 = rcut * rcut
     bstar, mu = _gso(basis)
     _, cs = _fincke_pohst(mu, np.einsum("ij,ij->i", bstar, bstar),
@@ -422,8 +419,8 @@ def _voronoi_walk(normals, rhs):
 
 
 class LatticeSolver:
-    """Exact batched closest-vector queries against a fixed lattice of
-    rank at least 1, and its covering radius.
+    """Exact batched closest-vector queries against a fixed lattice, and
+    its covering radius.  A lattice of rank 0 is the origin alone.
 
     The basis is taken as given; a reduced one, a canonical
     ``discrete_basis`` or one from ``basis_from_generators``, keeps the
@@ -468,7 +465,8 @@ class LatticeSolver:
         d2 = np.einsum("ij,ij->i", diff, diff)
         gs = (diff @ self._bstar.T) / self._bstar_sq
         resid2 = (gs * gs) @ self._bstar_sq
-        todo = np.flatnonzero(resid2 >= 0.25 * self._bstar_sq.min())
+        shortest = self._bstar_sq.min(initial=np.inf)  # inf at rank 0
+        todo = np.flatnonzero(resid2 >= 0.25 * shortest)
         if todo.size:
             centres = (y[todo] @ self._bstar.T) / self._bstar_sq
             owner, cand = _fincke_pohst(self._mu, self._bstar_sq, centres,

@@ -65,10 +65,8 @@ def _block_gap(a: np.ndarray, b: np.ndarray) -> float:
     the sine of the largest principal angle."""
     if a.shape != b.shape:
         raise DimensionMismatch("flag blocks have different dimensions")
-    if a.size == 0:
-        return 0.0
     resid = a - (a @ b.T) @ b
-    return float(np.linalg.svd(resid, compute_uv=False)[0])
+    return float(np.linalg.svd(resid, compute_uv=False).max(initial=0.0))
 
 
 def flag_gap(flag: LinearDecomposition,
@@ -99,10 +97,9 @@ def trivialisation(flag: LinearDecomposition,
     for a, b in ((flag.fine, base_flag.fine),
                  (flag.medium, base_flag.medium),
                  (flag.coarse, base_flag.coarse)):
-        if a.shape[0]:
-            m += (b.T @ b) @ (a.T @ a)
+        m += (b.T @ b) @ (a.T @ a)
     u, s, vt = np.linalg.svd(m)
-    if s[-1] < 0.05:
+    if s.min(initial=np.inf) < 0.05:
         raise FlagsTooFar("polar factor is degenerate")
     return Trivialisation(u @ vt)
 
@@ -170,15 +167,13 @@ class LocalDecomposition:
 
 
 def _norm_budget(fine_part: ClosedSubgroup, coarse_rows: np.ndarray):
-    """The last norm np of the fine part, the first norm n1 of the
-    coarse lattice (inf when there is none) and the budget np + 1 / n1.
-    n1 is the shortest of the coarse lattice's class vectors."""
-    p = fine_part.ambient_dim
-    np_fine = float(norms(fine_part)[p - 1]) if p else 0.0
-    n1 = np.inf
-    if coarse_rows.shape[0]:
-        v = _lattice.LatticeSolver(coarse_rows).class_vectors() @ coarse_rows
-        n1 = float(np.sqrt(np.einsum("ij,ij->i", v, v).min()))
+    """The last norm np of the fine part (0 in R^0), the first norm n1
+    of the coarse lattice (inf when there is none) and the budget
+    np + 1 / n1.  n1 is the shortest of the coarse lattice's class
+    vectors."""
+    np_fine = float(norms(fine_part)[-1:].max(initial=0.0))
+    v = _lattice.LatticeSolver(coarse_rows).class_vectors() @ coarse_rows
+    n1 = float(np.sqrt(np.einsum("ij,ij->i", v, v).min(initial=np.inf)))
     return np_fine, n1, np_fine + 1.0 / n1
 
 
@@ -229,29 +224,18 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
         raise NotInNeighborhood(str(exc)) from None
     disc_rot = group.discrete_basis @ tau.T
     cont_rot = group.continuous_basis @ tau.T
-    q0 = group.discrete_rank
 
     # coarse block lattice and the kernel, the lattice in the other blocks
-    d3 = n - p - q
-    if d3 > 0 and q0 > 0:
-        a3 = disc_rot[:, p + q:]
-        coarse_rows, coarse_coeff, kernel = _lattice.basis_from_generators(
-            a3, zero_tol=1e-6)
-    else:
-        coarse_rows = np.zeros((0, d3))
-        coarse_coeff = np.zeros((0, q0), dtype=np.int64)
-        kernel = np.eye(q0, dtype=np.int64)
-    m = coarse_rows.shape[0]
-    if m != group.rank - (p + q):
+    coarse_rows, coarse_coeff, kernel = _lattice.basis_from_generators(
+        disc_rot[:, p + q:], zero_tol=1e-6)
+    if coarse_rows.shape[0] != group.rank - (p + q):
         raise NotInNeighborhood("coarse lattice rank mismatch")
-    s_rows = kernel @ disc_rot if kernel.shape[0] else np.zeros((0, n))
+    s_rows = kernel @ disc_rot
 
     # medium lattice; its relations generate the fine lattice
-    fine_rows = s_rows
-    if q:
-        med_rows, med_coeff, relations = _lattice.basis_from_generators(
-            s_rows[:, p:p + q], zero_tol=1e-9)
-        fine_rows = relations @ s_rows
+    med_rows, med_coeff, relations = _lattice.basis_from_generators(
+        s_rows[:, p:p + q], zero_tol=1e-9)
+    fine_rows = relations @ s_rows
     if np.max(np.abs(fine_rows[:, p:]), initial=0.0) > 1e-8:
         raise InconsistentData("fine lattice escapes the fine block")
     fine_part = make_subgroup(p, cont_rot[:, :p], fine_rows[:, :p])
@@ -262,33 +246,25 @@ def local_decomposition(group: ClosedSubgroup, base: ClosedSubgroup,
             f"fine/coarse norm budget {budget:.6g} is not below {delta}")
 
     # distinguished medium basis; lift carries med_rows back to s_rows
-    if q:
-        solver = _lattice.LatticeSolver(med_rows)
-        lift = med_coeff @ s_rows
-        _, cvp_coeff = solver.closest(np.eye(q))
-        medium_basis = cvp_coeff @ solver.basis
-        if np.max(np.linalg.norm(medium_basis - np.eye(q), axis=1)) >= delta:
-            raise NotInNeighborhood(
-                "no distinguished basis within delta of the identity")
-        if round(abs(np.linalg.det(cvp_coeff))) != 1:
-            raise NotInNeighborhood(
-                "distinguished vectors do not generate the medium lattice")
-        raw_off = (cvp_coeff @ lift)[:, :p]
-        medium_offset = raw_off - nearest_point(fine_part, raw_off)
-    else:
-        medium_basis = np.zeros((0, 0))
-        medium_offset = np.zeros((0, p))
+    solver = _lattice.LatticeSolver(med_rows)
+    lift = med_coeff @ s_rows
+    _, cvp_coeff = solver.closest(np.eye(q))
+    medium_basis = cvp_coeff @ solver.basis
+    if np.max(np.linalg.norm(medium_basis - np.eye(q), axis=1),
+              initial=0.0) >= delta:
+        raise NotInNeighborhood(
+            "no distinguished basis within delta of the identity")
+    if round(abs(np.linalg.det(cvp_coeff))) != 1:
+        raise NotInNeighborhood(
+            "distinguished vectors do not generate the medium lattice")
+    raw_off = (cvp_coeff @ lift)[:, :p]
+    medium_offset = raw_off - nearest_point(fine_part, raw_off)
 
     # coarse offsets: shortest coset representatives in both blocks
-    if m:
-        pre = coarse_coeff @ disc_rot
-        if q:
-            pre = pre - solver.closest(pre[:, p:p + q])[1] @ lift
-        off_med = pre[:, p:p + q]
-        off_fine = pre[:, :p] - nearest_point(fine_part, pre[:, :p])
-    else:
-        off_med = np.zeros((0, q))
-        off_fine = np.zeros((0, p))
+    pre = coarse_coeff @ disc_rot
+    pre = pre - solver.closest(pre[:, p:p + q])[1] @ lift
+    off_med = pre[:, p:p + q]
+    off_fine = pre[:, :p] - nearest_point(fine_part, pre[:, :p])
 
     loc = LocalDecomposition(fine_part, medium_basis, coarse_rows,
                              medium_offset, off_fine, off_med)
@@ -318,10 +294,8 @@ def in_scale_neighborhood(group: ClosedSubgroup, base: ClosedSubgroup,
 
 
 def _embed(rows: np.ndarray, n: int, start: int) -> np.ndarray:
-    rows = np.atleast_2d(rows)
     out = np.zeros((rows.shape[0], n))
-    if rows.shape[1]:
-        out[:, start:start + rows.shape[1]] = rows
+    out[:, start:start + rows.shape[1]] = rows
     return out
 
 
@@ -344,15 +318,12 @@ def reconstruct(lin: LinearDecomposition,
         raise InconsistentData("offset arrays have inconsistent shapes")
     tau = trivialisation(lin, standard_flag(n, p, q)).matrix
     cont = _embed(loc.fine_part.continuous_basis, n, 0)
-    disc_blocks = [_embed(loc.fine_part.discrete_basis, n, 0)]
-    if q:
-        disc_blocks.append(_embed(loc.medium_basis, n, p)
-                           + _embed(loc.medium_offset, n, 0))
-    if m:
-        disc_blocks.append(_embed(loc.coarse_basis, n, p + q)
-                           + _embed(loc.coarse_offset_fine, n, 0)
-                           + _embed(loc.coarse_offset_medium, n, p))
-    disc = np.vstack(disc_blocks) if disc_blocks else np.zeros((0, n))
+    disc = np.vstack([
+        _embed(loc.fine_part.discrete_basis, n, 0),
+        _embed(loc.medium_basis, n, p) + _embed(loc.medium_offset, n, 0),
+        _embed(loc.coarse_basis, n, p + q)
+        + _embed(loc.coarse_offset_fine, n, 0)
+        + _embed(loc.coarse_offset_medium, n, p)])
     return make_subgroup(n, cont @ tau, disc @ tau)
 
 
@@ -369,7 +340,7 @@ def on_link(group: ClosedSubgroup, base: ClosedSubgroup,
     p, q = lin.block_type
     if flag_gap(lin, standard_flag(group.ambient_dim, p, q)) > _LINK_TOL:
         return False
-    if q and np.max(np.abs(loc.medium_basis - np.eye(q))) > _LINK_TOL:
+    if np.max(np.abs(loc.medium_basis - np.eye(q)), initial=0.0) > _LINK_TOL:
         return False
     if np.max(np.abs(loc.medium_offset), initial=0.0) > _LINK_TOL:
         return False

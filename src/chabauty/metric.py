@@ -114,7 +114,8 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
                    ub_cap):
     """Certified supremum of f over a box of lattice coefficients and
     orthonormal continuous coordinates in [-ball_radius, ball_radius],
-    intersected with the ball.
+    intersected with the ball: ``int_basis`` holds the q lattice rows
+    and ``cont_rows`` the p continuous ones, either set possibly empty.
 
     ``int_lips`` and ``cont_lip`` (one for every continuous coordinate)
     bound the change of f per unit step in a coordinate; the spatial
@@ -140,19 +141,17 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     it can lie far from the target.  Since f(x) <= |x|, no cell's bound
     exceeds the ball radius.
     """
-    qi = 0 if int_basis is None else int_basis.shape[0]
-    pc = 0 if cont_rows is None else cont_rows.shape[0]
-    rows = np.vstack([b for b in (int_basis, cont_rows) if b is not None])
+    qi, pc = int_basis.shape[0], cont_rows.shape[0]
+    rows = np.vstack([int_basis, cont_rows])
     is_int = np.arange(qi + pc) < qi
-    lips = np.concatenate([int_lips if qi else [], np.full(pc, cont_lip)])
+    lips = np.concatenate([int_lips, np.full(pc, cont_lip)])
     row_norms = np.linalg.norm(rows, axis=1)
     grid_eff = 0.45 * grid
-    inside = ball_radius * (1 + 1e-12) + 1e-12
-    fuzz = ball_radius * (1 + 1e-12) + grid_eff
+    inside = ball_radius * _lattice.BALL
+    fuzz = inside + grid_eff
     stop = math.inf if stop_above is None else stop_above
     evals = 0
-    half = np.concatenate([int_bounds if qi else [],
-                           np.full(pc, float(ball_radius))])
+    half = np.concatenate([int_bounds, np.full(pc, float(ball_radius))])
     cell_lo, cell_hi, ub = -half[None], half[None], np.array([math.inf])
     stale = 0  # dropped since a round last took every open cell; the
     # budget error counts them as open, as a heap keeps them until popped
@@ -223,10 +222,11 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
 def _exact_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float):
     """Directed gap from a lattice source against a full-rank target,
     exactly: the largest distance to the target over the source's points
-    in the ball, |x| <= R(1 + 1e-12) + 1e-12, when no level of the
-    ball's search holds more than 65,536 nodes; the last level holds
-    every point found, so an overfull ball is refused before its points
-    are made.  Returns None when the search is refused."""
+    in the ball, |x| <= R(1 + 1e-12) (``_lattice.BALL``, the rule the
+    branch and bound counts by too), when no level of the ball's search
+    holds more than 65,536 nodes; the last level holds every point
+    found, so an overfull ball is refused before its points are made.
+    Returns None when the search is refused."""
     try:
         pts = _lattice.search_ball(src.discrete_basis, radius, cap=65_536)[0]
     except EnumerationBudgetExceeded:
@@ -250,24 +250,16 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
         if dst.rank < n:
             return radius
         return min(radius, _solver(dst).covering_radius()[0])
-    int_basis = src.discrete_basis if qs else None
-    int_lips = None
-    int_bounds = None
-    lo = 0.0
-    sigma = 0.0
-    if ps:
-        cont = dst.continuous_basis
-        leak0 = src.continuous_basis - (src.continuous_basis @ cont.T) @ cont
-        sigma = min(1.0, float(np.linalg.svd(leak0, compute_uv=False)[0]))
-    if qs:
-        ei = _distances(dst, src.discrete_basis)
-        row_norms = np.linalg.norm(src.discrete_basis, axis=1)
-        int_lips = np.minimum(ei, row_norms)
-        nu = _lattice.dual_coefficient_norms(src.discrete_basis)
-        int_bounds = np.floor(radius * nu + 1e-9).astype(np.int64)
-        # the basis vectors inside the ball are points of the trace
-        lo = float(np.max(ei[row_norms <= radius * (1 + 1e-12) + 1e-12],
-                          initial=0.0))
+    cont = dst.continuous_basis
+    leak0 = src.continuous_basis - (src.continuous_basis @ cont.T) @ cont
+    sigma = min(1.0, float(
+        np.linalg.svd(leak0, compute_uv=False).max(initial=0.0)))
+    ei = _distances(dst, src.discrete_basis)
+    row_norms = np.linalg.norm(src.discrete_basis, axis=1)
+    nu = _lattice.dual_coefficient_norms(src.discrete_basis)
+    int_bounds = np.floor(radius * nu + 1e-9).astype(np.int64)
+    # the basis vectors inside the ball are points of the trace
+    lo = float(np.max(ei[row_norms <= radius * _lattice.BALL], initial=0.0))
     ub_cap = math.inf
     if dst.rank == n:
         if ps == 0:
@@ -279,8 +271,8 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
         except EnumerationBudgetExceeded:
             pass  # the Voronoi walk refuses the target's lattice part
     return _certified_sup(
-        lambda xs: _distances(dst, xs), int_basis, int_lips, int_bounds,
-        src.continuous_basis if ps else None, sigma,
+        lambda xs: _distances(dst, xs), src.discrete_basis,
+        np.minimum(ei, row_norms), int_bounds, src.continuous_basis, sigma,
         radius, params.grid, stop_above, params.cap, lo, ub_cap)
 
 

@@ -283,7 +283,7 @@ def random_subgroup(n: int, group_type, seed: int) -> ClosedSubgroup:
     lo, hi = 0.6, 2.4
     for _ in range(64):
         coeff = rng.normal(size=(q, n - p))
-        coeff = _lattice.lll_reduce(coeff) if q > 1 else coeff
+        coeff = _lattice.lll_reduce(coeff)
         sizes = np.linalg.norm(coeff, axis=1)
         rmin, rmax = sizes.min(), sizes.max()
         if rmin <= 0 or lo / rmin > hi / rmax:

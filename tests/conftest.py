@@ -32,7 +32,7 @@ def brute_points_in_ball(basis, radius):
     mesh = np.meshgrid(*axes, indexing="ij")
     coeffs = np.stack([m.reshape(-1) for m in mesh], axis=1)
     pts = coeffs @ basis
-    keep = np.linalg.norm(pts, axis=1) <= radius * (1 + 1e-12) + 1e-12
+    keep = np.linalg.norm(pts, axis=1) <= radius * (1 + 1e-12)
     return pts[keep]
 
 
@@ -139,7 +139,7 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
     Changed from that version, as in the module: the incumbent starts
     at ``lo`` instead of the best of a set of probe points, and the cell
     centres count towards the incumbent only inside the ball,
-    |x| <= R(1 + 1e-12) + 1e-12, a centre slides towards the origin
+    |x| <= R(1 + 1e-12), a centre slides towards the origin
     whenever it lies outside it, and a cell's reach bound is capped at
     that radius instead of 0.45 grid beyond it.  The old code admitted
     points up to 0.45 grid outside, where a lattice point can raise the
@@ -149,7 +149,7 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
     cont_vlips = np.full(pc, cont_lip)
     dim = int_basis.shape[1] if qi else cont_rows.shape[1]
     grid_eff = 0.45 * grid
-    inside = ball_radius * (1 + 1e-12) + 1e-12
+    inside = ball_radius * (1 + 1e-12)
     fuzz = ball_radius * (1 + 1e-12) + grid_eff
     int_rows_norm = (np.linalg.norm(int_basis, axis=1)
                      if qi else np.zeros(0))

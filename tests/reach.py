@@ -12,7 +12,9 @@ was reached after all, is an error.
 Usage, from the repository root: ``PYTHONPATH=src python tests/reach.py``.
 Exits 1 and lists the offending lines when the suite fails, a line is
 unreached or a marker is wrong; the file name keeps pytest from
-collecting it.
+collecting it.  The last line also reports the number of non-blank
+lines under ``src/chabauty``, the size of the package, for the record
+only.
 """
 from __future__ import annotations
 
@@ -101,7 +103,11 @@ def main() -> int:
         problems += check(Path(name), reached[name])
     for problem in problems:
         print(f"reach: {problem}")
-    print(f"reach: {len(problems)} problem(s) in {len(files)} files")
+    lines = sum(1 for name in files
+                for line in Path(name).read_text(encoding="utf-8").splitlines()
+                if line.strip())
+    print(f"reach: {len(problems)} problem(s) in {len(files)} files, "
+          f"{lines} non-blank source lines")
     return 1 if problems else 0
 
 

@@ -233,6 +233,43 @@ def test_generators_below_zero_tol_are_unit_relations():
     assert sorted(np.abs(relations).tolist()) == [[0, 1], [1, 0]]
 
 
+def rank0_solver():
+    return _lattice.LatticeSolver(np.zeros((0, 3)))
+
+
+def from_zeros(shape):
+    return _lattice.basis_from_generators(np.zeros(shape), 1e-6)
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: rank0_solver().closest([[3.0, 4.0, 0.0], [0, 0, 0]]),
+                 ([5.0, 0.0], np.zeros((2, 0))), id="closest-rank-0"),
+    pytest.param(lambda: (rank0_solver().class_vectors(),),
+                 (np.zeros((0, 0)),), id="class-vectors-rank-0"),
+    pytest.param(lambda: from_zeros((0, 3)),
+                 (np.zeros((0, 3)), np.zeros((0, 0)), np.zeros((0, 0))),
+                 id="no-generators"),
+    pytest.param(lambda: from_zeros((2, 0)),
+                 (np.zeros((0, 0)), np.zeros((0, 2)), np.eye(2)),
+                 id="generators-of-width-0"),
+    pytest.param(lambda: _lattice.search_ball(np.zeros((0, 2)), 1.0),
+                 (np.zeros((1, 2)), np.zeros((1, 0)), np.zeros(1)),
+                 id="ball-rank-0"),
+    pytest.param(lambda: (_lattice.lll_reduce(np.zeros((0, 3))),),
+                 (np.zeros((0, 3)),), id="lll-no-rows"),
+    pytest.param(lambda: (_lattice.lll_reduce([[3.0, 4.0]]),),
+                 ([[3.0, 4.0]],), id="lll-one-row"),
+])
+def test_empty_input_is_ordinary_input(call, expected):
+    # a rank-0 lattice is the origin alone, and zero-width generators
+    # are all relations
+    got = call()
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.shape(a) == np.shape(b)
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("rows", [[[math.nan, 0.0], [0.0, 1.0]],
                                   [[1.0, 0.0], [math.inf, 1.0]]])

@@ -408,6 +408,29 @@ def test_coarse_medium_offset_is_a_shortest_coset_representative():
     assert same_group(ch.reconstruct(lin, loc), g)
 
 
+@pytest.mark.parametrize("n, cont, disc, base_type, q, m", [
+    # q = 0: a nearly horizontal line and a coarse row
+    (2, [(1.0, 0.02)], [(0.3, 30.0)], (1, 0), 0, 1),
+    # no coarse block: a nearly horizontal line and a medium row
+    (2, [(1.0, 0.01)], [(0.4, 1.02)], (1, 1), 1, 0),
+    # neither: a fine lattice fills the plane
+    (2, None, [(0.02, 0.0), (0.005, 0.03)], (2, 0), 0, 0),
+    # every block empty: R^0
+    (0, None, None, (0, 0), 0, 0),
+])
+def test_empty_blocks_round_trip(n, cont, disc, base_type, q, m):
+    g = ch.make_subgroup(n, cont, disc)
+    lin, loc = ch.local_decomposition(g, ch.standard_subgroup(n, *base_type),
+                                      0.1)
+    p = base_type[0]
+    assert loc.medium_basis.shape == (q, q)
+    assert loc.coarse_basis.shape == (m, n - p - q)
+    assert loc.medium_offset.shape == (q, p)
+    assert loc.coarse_offset_fine.shape == (m, p)
+    assert loc.coarse_offset_medium.shape == (m, q)
+    assert same_group(ch.reconstruct(lin, loc), g)
+
+
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_reconstruct_inverts_local_decomposition(seed, data):

@@ -209,10 +209,10 @@ def test_exact_gap_refuses_an_overfull_ball():
 
 
 def test_both_gap_routes_count_the_same_ball():
-    # (1 + 1.5e-12, 0) lies within R(1 + 1e-12) + 1e-12 of the origin at
-    # R = 1, and at distance 1 from both targets: the exact lattice path
+    # (1 + 0.5e-12, 0) lies within R(1 + 1e-12) of the origin at R = 1,
+    # and at distance 1 from both targets: the exact lattice path
     # (towards 2Z x Z) and the branch and bound (towards Z(0, 1)) count it
-    a = ch.make_subgroup(2, None, [(1 + 1.5e-12, 0.0), (0.0, 10.0)])
+    a = ch.make_subgroup(2, None, [(1 + 0.5e-12, 0.0), (0.0, 10.0)])
     full = ch.make_subgroup(2, None, [(2.0, 0.0), (0.0, 1.0)])
     line = ch.make_subgroup(2, None, [(0.0, 1.0)])
     for target in (full, line):
@@ -330,8 +330,8 @@ def _first_round_calls(int_lips, lo):
         return 1e-3 * np.linalg.norm(xs, axis=1)
 
     got = metric._certified_sup(
-        f_batch, np.eye(2), np.asarray(int_lips), np.array([2, 2]), None,
-        0.0, 2.0, 0.05, None, 10 ** 6, lo, math.inf)
+        f_batch, np.eye(2), np.asarray(int_lips), np.array([2, 2]),
+        np.zeros((0, 2)), 0.0, 2.0, 0.05, None, 10 ** 6, lo, math.inf)
     return got, calls
 
 

@@ -70,6 +70,15 @@ def test_small_line_lattice_survives_the_json_round_trip():
     np.testing.assert_allclose(g.discrete_basis, [[1e-10, 0.0]], rtol=1e-15)
 
 
+def test_ball_membership_is_relative():
+    # the ball of radius 1e-13 in 1e-13 Z holds 0 and +-1e-13, as the
+    # ball of radius 1 in Z holds 0 and +-1; an absolute slack of 1e-12
+    # would take in 23 points
+    g = ch.scale(ch.standard_subgroup(1, 0, 1), 1e-13)
+    np.testing.assert_array_equal(ch.points_in_ball(g, 1e-13),
+                                  [[0.0], [-1e-13], [1e-13]])
+
+
 @pytest.mark.parametrize("t", [1.0, 1e-7])
 def test_lll_reorders_at_every_scale(t):
     b = t * np.array(H)
