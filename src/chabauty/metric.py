@@ -250,16 +250,6 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
         if dst.rank < n:
             return radius
         return min(radius, _solver(dst).covering_radius()[0])
-    cont = dst.continuous_basis
-    leak0 = src.continuous_basis - (src.continuous_basis @ cont.T) @ cont
-    sigma = min(1.0, float(
-        np.linalg.svd(leak0, compute_uv=False).max(initial=0.0)))
-    ei = _distances(dst, src.discrete_basis)
-    row_norms = np.linalg.norm(src.discrete_basis, axis=1)
-    nu = _lattice.dual_coefficient_norms(src.discrete_basis)
-    int_bounds = np.floor(radius * nu + 1e-9).astype(np.int64)
-    # the basis vectors inside the ball are points of the trace
-    lo = float(np.max(ei[row_norms <= radius * _lattice.BALL], initial=0.0))
     ub_cap = math.inf
     if dst.rank == n:
         if ps == 0:
@@ -270,6 +260,16 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
             ub_cap = _solver(dst).covering_radius()[0]
         except EnumerationBudgetExceeded:
             pass  # the Voronoi walk refuses the target's lattice part
+    cont = dst.continuous_basis
+    leak0 = src.continuous_basis - (src.continuous_basis @ cont.T) @ cont
+    sigma = min(1.0, float(
+        np.linalg.svd(leak0, compute_uv=False).max(initial=0.0)))
+    ei = _distances(dst, src.discrete_basis)
+    row_norms = np.linalg.norm(src.discrete_basis, axis=1)
+    nu = _lattice.dual_coefficient_norms(src.discrete_basis)
+    int_bounds = np.floor(radius * nu + 1e-9).astype(np.int64)
+    # the basis vectors inside the ball are points of the trace
+    lo = float(np.max(ei[row_norms <= radius * _lattice.BALL], initial=0.0))
     return _certified_sup(
         lambda xs: _distances(dst, xs), src.discrete_basis,
         np.minimum(ei, row_norms), int_bounds, src.continuous_basis, sigma,
@@ -398,7 +398,7 @@ def degeneration_family(n: int, source, target):
     eye = np.eye(n)
 
     def family(t: float) -> ClosedSubgroup:
-        if t <= 0:
+        if not t > 0:
             raise ValueError("the parameter must be positive")
         rows = [eye[p + i].copy() for i in range(q)]
         if mode == "shrink":

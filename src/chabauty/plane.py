@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (NotInC1, NotLattice, NotUnitSystole, SingularBasePoint,
                      WrongAmbientDim)
 from .invariants import covolume, generation_data, systole
-from .subgroup import ClosedSubgroup, _distances, make_subgroup, scale
+from .subgroup import ClosedSubgroup, make_subgroup, scale
 
 INFINITY_POINT = complex(math.inf, 0.0)
 
@@ -64,7 +64,7 @@ def suspension_map(group: ClosedSubgroup, t: float) -> ClosedSubgroup:
     identity and t = inf collapses everything discrete to the trivial
     group."""
     _require_plane(group)
-    if t < 0:
+    if not t >= 0:
         raise ValueError("the cone parameter must lie in [0, inf]")
     p, q = group.group_type
     if (p, q) == (0, 2):
@@ -111,6 +111,14 @@ def _canonicalize(theta: float, z: complex):
     return theta % math.pi, z
 
 
+def _order(z: complex) -> int:
+    """Stabilizer order at a canonical base point: 3 at the corner, 2
+    at i, 1 elsewhere.  The one rule for the two singular points."""
+    if abs(z - _CORNER) <= 10 * _TOL:
+        return 3
+    return 2 if abs(z - 1j) <= 10 * _TOL else 1
+
+
 def reduce_lattice(group: ClosedSubgroup) -> ReducedForm:
     """Canonical (theta, z) of a unit-systole lattice.
 
@@ -128,10 +136,7 @@ def reduce_lattice(group: ClosedSubgroup) -> ReducedForm:
         raise NotUnitSystole("the shortest vector must have norm 1")
     a, w = _as_complex(realizers)
     theta, z = _canonicalize((-cmath.phase(a)) % math.pi, complex(w / a))
-    for point, turn in ((_CORNER, math.pi / 3), (1j, math.pi / 2)):
-        if abs(z - point) <= 10 * _TOL:
-            theta %= turn
-    return ReducedForm(theta, z)
+    return ReducedForm(theta % (math.pi / _order(z)), z)
 
 
 def base_point(group: ClosedSubgroup) -> complex:
@@ -149,27 +154,13 @@ def base_point(group: ClosedSubgroup) -> complex:
 
 def stabilizer_order(group: ClosedSubgroup) -> int:
     """Order of the stabilizer in the rotations modulo +-1: 3 for
-    triangular lattices, 2 for square lattices, 1 otherwise.  The
-    systole and the rotated basis may miss by up to 1e-6."""
-    tol = 1e-6
-    _require_plane(group)
-    if abs(systole(group) - 1.0) > tol:
-        raise NotUnitSystole("the shortest vector must have norm 1")
-    if group.group_type == (0, 1):
-        return 1
-
-    rotated = []
-    for angle in (math.pi / 3, math.pi / 2):
-        c, s = math.cos(angle), math.sin(angle)
-        rot = np.array([[c, -s], [s, c]])
-        rotated.append(group.discrete_basis @ rot.T)
-    rotated = np.vstack(rotated)
-    gaps = _distances(group, rotated)
-    if np.all(gaps[:2] < tol):
-        return 3
-    if np.all(gaps[2:] < tol):
-        return 2
-    return 1
+    triangular lattices, 2 for square lattices, 1 otherwise and for
+    rank-one subgroups.  Read off the base point, so it accepts what
+    ``base_point`` accepts and calls a lattice symmetric exactly where
+    ``reduce_lattice`` reduces theta further and ``cross_section``
+    refuses."""
+    z = base_point(group)
+    return 1 if z == INFINITY_POINT else _order(z)
 
 
 def cross_section_phase(u: complex) -> float:
@@ -208,7 +199,7 @@ def cross_section(u: complex) -> ClosedSubgroup:
     if abs(u) < 1.0 - 1e-6 or abs(u.real) > 0.5 + 1e-6:
         raise ValueError("base point lies outside the fundamental domain")
     _, z = _canonicalize(0.0, u)
-    if abs(z - 1j) <= 10 * _TOL or abs(z - _CORNER) <= 10 * _TOL:
+    if _order(z) > 1:
         raise SingularBasePoint(
             "the cross-section is undefined at the two singular points")
     phase = cmath.exp(1j * cross_section_phase(u))
@@ -229,6 +220,5 @@ def atlas_rows(n_re: int = 41, n_im: int = 41, im_max: float = 3.0):
     for x in np.linspace(-0.5, 0.5, n_re):
         y_min = math.sqrt(max(0.0, 1.0 - x * x))
         for y in np.linspace(y_min, im_max, n_im):
-            lattice = _lattice_from_complex(1.0 + 0j, complex(x, y))
-            rows.append((x, y, stabilizer_order(lattice)))
+            rows.append((x, y, _order(_canonicalize(0.0, complex(x, y))[1])))
     return rows

@@ -296,6 +296,23 @@ def brute_norms(group):
     return out
 
 
+def contains(big, small, tol=1e-9):
+    """Does ``big`` contain every generator of ``small``?  Off the
+    continuous part of ``big``, each must have integer coordinates in
+    its lattice basis."""
+    gens = np.vstack([small.continuous_basis, small.discrete_basis])
+    cont, disc = big.continuous_basis, big.discrete_basis
+    resid = gens - (gens @ cont.T) @ cont
+    if disc.shape[0]:
+        coords = np.linalg.lstsq(disc.T, resid.T, rcond=None)[0].T
+        resid = resid - np.round(coords) @ disc
+    return bool(np.all(np.linalg.norm(resid, axis=1) <= tol))
+
+
+def same_group(a, b):
+    return a.group_type == b.group_type and contains(a, b) and contains(b, a)
+
+
 def random_type(rng, n):
     p = int(rng.integers(0, n + 1))
     q = int(rng.integers(0, n - p + 1))

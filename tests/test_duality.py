@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import chabauty as ch
 
-from conftest import groups, random_group
+from conftest import groups, random_group, same_group
 
 
 def test_dual_of_integer_lattice_is_itself():
@@ -81,3 +81,20 @@ def test_orthogonal_maps_keep_type_and_norms(g, seed):
     assert ch.type_of(h) == ch.type_of(g)
     assert_same_norms(g, h)
     assert_same_norms(ch.dual(g), ch.dual(h))
+
+
+@settings(max_examples=60)
+@given(g=groups(), seed=st.integers(0, 2 ** 32 - 1))
+def test_dual_commutes_with_linear_maps(g, seed):
+    """dual(m H) = m^(-T) dual(H) for an invertible m = I + N/2 with
+    condition number at most 50."""
+    rng = np.random.default_rng(seed)
+    n = g.ambient_dim
+    m = np.eye(n) + 0.5 * rng.normal(size=(n, n))
+    assume(np.linalg.cond(m) <= 50)
+    left = ch.dual(ch.apply_linear(m, g))
+    right = ch.apply_linear(np.linalg.inv(m).T, ch.dual(g))
+    np.testing.assert_allclose(
+        left.continuous_basis.T @ left.continuous_basis,
+        right.continuous_basis.T @ right.continuous_basis, atol=1e-9)
+    assert same_group(left, right)

@@ -10,7 +10,8 @@ import pytest
 import chabauty as ch
 from chabauty.errors import (DimensionMismatch, FlagsTooFar,
                              InconsistentData, InvalidPair, InvalidType,
-                             NonClosedInput, NotInC1, NotUnitSystole)
+                             NonClosedInput, NotInC1, NotLattice,
+                             NotUnitSystole)
 
 
 def decomposed():
@@ -47,6 +48,9 @@ CASES = [
     ("metric-family-parameter",
      lambda: ch.degeneration_family(2, (0, 1), (1, 0))(0.0),
      ValueError, "the parameter must be positive"),
+    ("metric-family-nan-parameter",
+     lambda: ch.degeneration_family(2, (0, 1), (1, 0))(math.nan),
+     ValueError, "the parameter must be positive"),
     # subgroup
     ("subgroup-negative-dimension",
      lambda: ch.make_subgroup(-1),
@@ -70,12 +74,29 @@ CASES = [
     ("plane-suspension-rank-one",
      lambda: ch.suspension_map(ch.make_subgroup(2, None, [(1, 0)]), 1.0),
      NotInC1, "expected a unit-covolume lattice or a line"),
+    ("plane-suspension-nan-on-a-line",
+     lambda: ch.suspension_map(ch.make_subgroup(2, [(1, 0)]), math.nan),
+     ValueError, "the cone parameter must lie in [0, inf]"),
+    ("plane-suspension-nan-on-a-lattice",
+     lambda: ch.suspension_map(ch.standard_subgroup(2, 0, 2), math.nan),
+     ValueError, "the cone parameter must lie in [0, inf]"),
     ("plane-base-point-systole",
      lambda: ch.base_point(ch.make_subgroup(2, None, [(2, 0)])),
      NotUnitSystole, "the shortest vector must have norm 1"),
     ("plane-stabilizer-systole",
      lambda: ch.stabilizer_order(ch.make_subgroup(2, None, [(2, 0), (0, 3)])),
      NotUnitSystole, "the shortest vector must have norm 1"),
+    ("plane-reduce-systole-off-by-1e-7",
+     lambda: ch.reduce_lattice(ch.scale(ch.standard_subgroup(2, 0, 2),
+                                        1 + 1e-7)),
+     NotUnitSystole, "the shortest vector must have norm 1"),
+    ("plane-stabilizer-systole-off-by-1e-7",
+     lambda: ch.stabilizer_order(ch.scale(ch.standard_subgroup(2, 0, 2),
+                                          1 + 1e-7)),
+     NotUnitSystole, "the shortest vector must have norm 1"),
+    ("plane-stabilizer-line",
+     lambda: ch.stabilizer_order(ch.make_subgroup(2, [(1, 0)])),
+     NotLattice, "expected a rank-two lattice of the plane"),
     ("plane-cross-section-domain",
      lambda: ch.cross_section(0.5j),
      ValueError, "base point lies outside the fundamental domain"),

@@ -12,7 +12,7 @@ from chabauty.errors import (BasePointNotAligned, FlagsTooFar,
                              InconsistentData, InvalidPair, InvalidStratum,
                              NotDecomposable, NotInNeighborhood, OutOfRange)
 
-from conftest import brute_closest, random_type
+from conftest import brute_closest, random_type, same_group
 
 
 def rotation2(theta):
@@ -338,23 +338,6 @@ def test_roundtrip_random_cases(rng):
         rec = ch.reconstruct(lin, loc)
         assert ch.chabauty_distance(rec, g) < 1e-6
         done += 1
-
-
-def contains(big, small, tol=1e-9):
-    """Does ``big`` contain every generator of ``small``?  Off the
-    continuous part of ``big``, each must have integer coordinates in
-    its lattice basis."""
-    gens = np.vstack([small.continuous_basis, small.discrete_basis])
-    cont, disc = big.continuous_basis, big.discrete_basis
-    resid = gens - (gens @ cont.T) @ cont
-    if disc.shape[0]:
-        coords = np.linalg.lstsq(disc.T, resid.T, rcond=None)[0].T
-        resid = resid - np.round(coords) @ disc
-    return bool(np.all(np.linalg.norm(resid, axis=1) <= tol))
-
-
-def same_group(a, b):
-    return a.group_type == b.group_type and contains(a, b) and contains(b, a)
 
 
 def offsets_are_shortest(loc):

@@ -244,6 +244,25 @@ def test_stabilizer_rotation_invariant(rng):
         assert ch.stabilizer_order(g) in (1, 2, 3)
 
 
+@pytest.mark.parametrize("z, order", [
+    (1j, 2), (CORNER, 3), (1j + 1e-7, 1), (CORNER + 1e-7j, 1)],
+    ids=["i", "corner", "near-i", "near-corner"])
+def test_singular_points_one_rule(z, order):
+    """The stabilizer order, the range of the reduced angle and the
+    cross-section agree on which lattices are symmetric, also 1e-7 off
+    the two singular points."""
+    g = ch.apply_linear(rotation2(0.3), lattice(1.0, z))
+    assert ch.stabilizer_order(g) == order
+    theta = ch.reduce_lattice(g).theta
+    assert 0.0 <= theta < math.pi / order
+    assert theta == pytest.approx((math.pi - 0.3) % (math.pi / order))
+    if order > 1:
+        with pytest.raises(SingularBasePoint):
+            ch.cross_section(z)
+    else:
+        assert ch.type_of(ch.cross_section(z)) == (0, 2)
+
+
 # --- cross-section -----------------------------------------------------------
 
 
@@ -321,7 +340,9 @@ def test_atlas_orders_match_row_by_row_invariance():
         return all(ch.distance_to_subgroup(v, group) < 1e-6
                    for v in group.discrete_basis @ rot.T)
 
-    for x, y, order in ch.atlas_rows(n_re=9, n_im=7, im_max=2.0):
+    # the second grid holds both corners, i and the glued edge x = -1/2
+    rows = ch.atlas_rows(9, 7, 2.0) + ch.atlas_rows(21, 11, 3.0)
+    for x, y, order in rows:
         g = lattice(1.0, complex(x, y))
         expected = (3 if invariant(g, math.pi / 3)
                     else 2 if invariant(g, math.pi / 2) else 1)
