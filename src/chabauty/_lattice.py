@@ -304,11 +304,11 @@ def _fincke_pohst(mu, bstar_sq, centres, bound2, cap=1_000_000):
         k = k.astype(np.int64)
         idx = np.repeat(np.arange(k.size), k)
         c = np.arange(idx.size) - np.repeat(np.cumsum(k) - k - lo, k)
-        ctr = ctr[idx]
+        ctr = ctr.take(idx, axis=0)  # ctr[idx], in a faster copy
         d = c - ctr[:, j]
         rest = rest[idx] - d * d * bstar_sq[j]
         ctr = ctr[:, :j] - c[:, None] * mu[j, :j]
-        coeffs = coeffs[idx]
+        coeffs = coeffs.take(idx, axis=0)
         coeffs[:, j] = c
         owner = owner[idx]
     return owner, coeffs
@@ -335,7 +335,7 @@ def search_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
     pts = cs @ basis
     sq = np.einsum("ij,ij->i", pts, pts)
     keep = sq <= rcut2
-    return pts[keep], cs[keep], sq[keep]
+    return pts.compress(keep, axis=0), cs.compress(keep, axis=0), sq[keep]
 
 
 def _ball_keys(pts: np.ndarray, sizes: np.ndarray):
@@ -468,17 +468,17 @@ class LatticeSolver:
         shortest = self._bstar_sq.min(initial=np.inf)  # inf at rank 0
         todo = np.flatnonzero(resid2 >= 0.25 * shortest)
         if todo.size:
-            centres = (y[todo] @ self._bstar.T) / self._bstar_sq
+            centres = (y.take(todo, axis=0) @ self._bstar.T) / self._bstar_sq
             owner, cand = _fincke_pohst(self._mu, self._bstar_sq, centres,
                                         resid2[todo], cap)
-            cdiff = cand @ self.basis - y[todo[owner]]
+            cdiff = cand @ self.basis - y.take(todo[owner], axis=0)
             cd2 = np.einsum("ij,ij->i", cdiff, cdiff)
             order = np.lexsort((cd2, owner))
             grp = owner[order]
             first = order[np.concatenate(([True], grp[1:] != grp[:-1]))]
             rows = todo[owner[first]]
             d2[rows] = cd2[first]
-            coeffs[rows] = cand[first]
+            coeffs[rows] = cand.take(first, axis=0)
         return np.sqrt(d2), coeffs
 
     def class_vectors(self, cap: int = 1_000_000) -> np.ndarray:

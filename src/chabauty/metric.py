@@ -10,9 +10,11 @@ the gaps over dyadic radii with summable weights.
 The gap is a supremum of a distance function over the trace of a
 subgroup in a ball.  From the whole space it is exact: min(R, mu), mu
 the covering radius of the target's lattice part, or R when the target
-is not of full rank.  From a lattice whose ball search holds at most
-65,536 nodes on each level towards a full-rank target, it is the exact
-maximum over the ball's points.  Otherwise sampling the trace densely
+is not of full rank.  From a lattice towards a full-rank target, it is
+the exact maximum over the ball's points while the ball's search holds
+at most 65,536 nodes on each level: each direction searches one ball,
+at the largest radius, and measures one point of each pair +-x, as
+dist(-x, H) = dist(x, H).  Otherwise sampling the trace densely
 is hopeless at radius 64, so the supremum is computed by certified
 branch and bound: the group structure gives per-direction Lipschitz
 bounds (stepping by a basis vector b changes the distance by at most
@@ -163,7 +165,7 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
         stale = stale + ub.size - n_open if n_open >= 256 else 0
         pick = _top(ub, min(n_open, 256))
         rest[pick] = False
-        blo, bhi = cell_lo[pick], cell_hi[pick]
+        blo, bhi = cell_lo.take(pick, axis=0), cell_hi.take(pick, axis=0)
         # evaluation points; a cell centre outside the ball slides its
         # continuous coordinates to the point of its box closest to the
         # origin, and counts towards the incumbent only if that is inside
@@ -205,38 +207,62 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
         split = np.flatnonzero(
             (cell_ub > lo + grid_eff) & (sizes - spatial <= fuzz)
             & (by_value | int_open | (spatial > grid_eff)))
-        k, js = np.arange(split.size), j[split]
-        left_hi, right_lo = bhi[split], blo[split]
-        left_hi[k, js] = mid[split, js]
-        right_lo[k, js] = mid[split, js] + is_int[js]
-        cell_lo = np.concatenate([
-            cell_lo[rest],
-            np.stack([blo[split], right_lo], axis=1).reshape(-1, qi + pc)])
-        cell_hi = np.concatenate([
-            cell_hi[rest],
-            np.stack([left_hi, bhi[split]], axis=1).reshape(-1, qi + pc)])
-        ub = np.concatenate([ub[rest], np.repeat(cell_ub[split], 2)])
+        k, js = 2 * np.arange(split.size), j[split]
+        new_lo = np.repeat(blo.take(split, axis=0), 2, axis=0)
+        new_hi = np.repeat(bhi.take(split, axis=0), 2, axis=0)
+        new_hi[k, js] = mid[split, js]  # the left half, then the right
+        new_lo[k + 1, js] = mid[split, js] + is_int[js]
+        cell_lo = np.concatenate([cell_lo.compress(rest, axis=0), new_lo])
+        cell_hi = np.concatenate([cell_hi.compress(rest, axis=0), new_hi])
+        ub = np.concatenate([ub.compress(rest), np.repeat(cell_ub[split], 2)])
     return lo
 
 
-def _exact_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float):
-    """Directed gap from a lattice source against a full-rank target,
-    exactly: the largest distance to the target over the source's points
-    in the ball, |x| <= R(1 + 1e-12) (``_lattice.BALL``, the rule the
-    branch and bound counts by too), when no level of the ball's search
-    holds more than 65,536 nodes; the last level holds every point
-    found, so an overfull ball is refused before its points are made.
-    Returns None when the search is refused."""
+def _half_ball(basis: np.ndarray, radius: float):
+    """(points, squared norms) of the lattice in the ball, one of each
+    pair +-x (those whose last nonzero coefficient is positive, and 0), or
+    None when a level of the search would hold over 65,536 nodes."""
     try:
-        pts = _lattice.search_ball(src.discrete_basis, radius, cap=65_536)[0]
+        pts, cs, sq = _lattice.search_ball(basis, radius, cap=65_536)
     except EnumerationBudgetExceeded:
         return None
-    return max(float(np.max(_distances(dst, pts[start:start + 20_000])))
-               for start in range(0, pts.shape[0], 20_000))
+    last = cs.shape[1] - 1 - np.argmax(cs[:, ::-1] != 0, axis=1)
+    keep = cs[np.arange(cs.shape[0]), last] >= 0
+    return pts.compress(keep, axis=0), sq.compress(keep)
+
+
+def _directed_gaps(src: ClosedSubgroup, dst: ClosedSubgroup, radii,
+                   params: MetricParams, stop_above):
+    """The directed gap at each of the increasing ``radii`` in turn.  From
+    a lattice to a full-rank target: the largest distance over the
+    ``_half_ball`` of the largest radius, each radius measuring its new
+    shell; if refused, over each radius's own ball up to the first refused
+    one (balls nest).  Other radii and pairs go to ``_directed_gap``."""
+    exact = src.continuous_dim == 0 < src.discrete_rank \
+        and dst.rank == src.ambient_dim and dst.discrete_rank > 0
+    held, refused = -1.0, (math.inf if exact else 0.0)
+    gap, inner2 = 0.0, -1.0
+    for radius in radii:
+        for r in (radii[-1], radius):  # the largest ball first
+            if held < radius and r < refused:
+                ball = _half_ball(src.discrete_basis, r)
+                held, refused = (held, r) if ball is None else (r, refused)
+        if held < radius:
+            yield _directed_gap(src, dst, radius, params, stop_above)
+            continue
+        pts, sq = ball
+        cut2 = np.square(radius * _lattice.BALL)
+        shell = pts.compress((sq > inner2) & (sq <= cut2), axis=0)
+        inner2 = cut2
+        for start in range(0, shell.shape[0], 20_000):
+            gap = max(gap, float(np.max(
+                _distances(dst, shell[start:start + 20_000]))))
+        yield gap
 
 
 def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
                   params: MetricParams, stop_above) -> float:
+    """One radius of ``_directed_gaps`` off the exact lattice path."""
     ps, qs = src.group_type
     n = src.ambient_dim
     if ps == 0 and qs == 0:
@@ -252,10 +278,6 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
         return min(radius, _solver(dst).covering_radius()[0])
     ub_cap = math.inf
     if dst.rank == n:
-        if ps == 0:
-            value = _exact_gap(src, dst, radius)
-            if value is not None:
-                return value
         try:  # the covering radius bounds every distance to the target
             ub_cap = _solver(dst).covering_radius()[0]
         except EnumerationBudgetExceeded:
@@ -276,6 +298,24 @@ def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
         radius, params.grid, stop_above, params.cap, lo, ub_cap)
 
 
+def _gaps(group_a: ClosedSubgroup, group_b: ClosedSubgroup, radii,
+          params: MetricParams, stop_above):
+    """The symmetric gap at each of the increasing ``radii``, up to the
+    first at or above ``stop_above``, which may be one directed gap."""
+    if group_a.ambient_dim != group_b.ambient_dim:
+        raise DimensionMismatch("subgroups live in different dimensions")
+    forward = _directed_gaps(group_a, group_b, radii, params, stop_above)
+    backward = _directed_gaps(group_b, group_a, radii, params, stop_above)
+    stop = math.inf if stop_above is None else stop_above
+    for gap in forward:
+        if gap < stop:
+            gap = max(gap, next(backward))
+            gap = 0.0 if gap < 1e-12 else gap  # closest-vector rounding noise
+        yield gap
+        if gap >= stop:
+            return
+
+
 def hausdorff_gap(group_a: ClosedSubgroup, group_b: ClosedSubgroup,
                   radius: float, params: MetricParams = DEFAULT_PARAMS,
                   stop_above: float | None = None) -> float:
@@ -288,16 +328,9 @@ def hausdorff_gap(group_a: ClosedSubgroup, group_b: ClosedSubgroup,
     is known to be at least that large.  Raises ValueError unless the
     radius is finite and nonnegative.
     """
-    if group_a.ambient_dim != group_b.ambient_dim:
-        raise DimensionMismatch("subgroups live in different dimensions")
     if not 0 <= radius < math.inf:
         raise ValueError("radius must be finite and nonnegative")
-    first = _directed_gap(group_a, group_b, radius, params, stop_above)
-    if stop_above is not None and first >= stop_above:
-        return first
-    second = _directed_gap(group_b, group_a, radius, params, stop_above)
-    gap = max(first, second)
-    return 0.0 if gap < 1e-12 else gap  # closest-vector rounding noise
+    return next(_gaps(group_a, group_b, (radius,), params, stop_above))
 
 
 def chabauty_distance(group_a: ClosedSubgroup, group_b: ClosedSubgroup,
@@ -309,15 +342,13 @@ def chabauty_distance(group_a: ClosedSubgroup, group_b: ClosedSubgroup,
     shipped test families.
     """
     total = 0.0
-    remaining = list(zip(params.radii, params.weights))
-    for idx, (radius, weight) in enumerate(remaining):
-        gap = hausdorff_gap(group_a, group_b, radius, params, stop_above=1.0)
+    gaps = _gaps(group_a, group_b, params.radii, params, 1.0)
+    for idx, (weight, gap) in enumerate(zip(params.weights, gaps)):
         capped = min(1.0, gap)
         total += weight * capped
         if capped >= 1.0:
             # gaps grow with the radius, so the remaining terms saturate
-            total += sum(w for _, w in remaining[idx + 1:])
-            break
+            total += sum(params.weights[idx + 1:])
     return total
 
 
@@ -398,8 +429,8 @@ def degeneration_family(n: int, source, target):
     eye = np.eye(n)
 
     def family(t: float) -> ClosedSubgroup:
-        if not t > 0:
-            raise ValueError("the parameter must be positive")
+        if not 0 < t < math.inf:
+            raise ValueError("the parameter must be positive and finite")
         rows = [eye[p + i].copy() for i in range(q)]
         if mode == "shrink":
             rows[0] = rows[0] / t

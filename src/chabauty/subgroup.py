@@ -82,9 +82,11 @@ class ClosedSubgroup:
         return f"ClosedSubgroup(n={self.ambient_dim}, type=({p},{q}))"
 
 
-def _finite(rows: np.ndarray) -> bool:
-    """Are all entries and squared row norms of ``rows`` finite?"""
-    return bool(np.isfinite(np.einsum("ij,ij->i", rows, rows)).all())
+def _representable(rows: np.ndarray) -> bool:
+    """Are the squared norms of the nonzero rows finite normal floats?"""
+    sq = np.einsum("ij,ij->i", rows, rows).tolist()
+    return all(2.0 ** -1022 <= s < math.inf or not row.any()
+               for s, row in zip(sq, rows))
 
 
 def _as_rows(vectors, n: int, what: str) -> np.ndarray:
@@ -110,17 +112,17 @@ def make_subgroup(n: int, continuous_gens=None,
     projected discrete generators must be independent over the reals,
     otherwise the generated group would wind densely in some direction
     (or carry an undetectable redundancy) and NonClosedInput is raised.
-    A NaN or infinite entry, or a generator whose squared norm
-    overflows, raises NonFiniteInput.  Rank decisions follow
+    A NaN or infinite entry, or a nonzero generator whose squared norm
+    overflows or underflows, raises NonFiniteInput.  Rank decisions follow
     ``_lattice.negligible``, so canonicalization commutes with scaling.
     """
     if n < 0:
         raise DimensionMismatch("ambient dimension must be nonnegative")
     cont = _as_rows(continuous_gens, n, "continuous generators")
     disc = _as_rows(discrete_gens, n, "discrete generators")
-    if not (_finite(cont) and _finite(disc)):
-        raise NonFiniteInput(
-            "generators must have finite entries and squared norms")
+    if not (_representable(cont) and _representable(disc)):
+        raise NonFiniteInput("generators must have finite squared norms, "
+                             "normal floats unless zero")
     cbasis = _lattice.orthonormalize(cont)
     dbasis = np.zeros((0, n))
     if disc.shape[0]:

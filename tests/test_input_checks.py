@@ -10,8 +10,8 @@ import pytest
 import chabauty as ch
 from chabauty.errors import (DimensionMismatch, FlagsTooFar,
                              InconsistentData, InvalidPair, InvalidType,
-                             NonClosedInput, NotInC1, NotLattice,
-                             NotUnitSystole)
+                             NonClosedInput, NonFiniteInput, NotInC1,
+                             NotLattice, NotUnitSystole)
 
 
 def decomposed():
@@ -34,6 +34,9 @@ def skewed_flag():
                                   np.array([[math.cos(b), math.sin(b)]]))
 
 
+UNDERFLOW = ("generators must have finite squared norms, normal floats "
+             "unless zero")
+
 CASES = [
     # metric
     ("metric-params-lengths",
@@ -47,14 +50,26 @@ CASES = [
      InvalidPair, "source (2,1) does not fit in dimension 2"),
     ("metric-family-parameter",
      lambda: ch.degeneration_family(2, (0, 1), (1, 0))(0.0),
-     ValueError, "the parameter must be positive"),
+     ValueError, "the parameter must be positive and finite"),
     ("metric-family-nan-parameter",
      lambda: ch.degeneration_family(2, (0, 1), (1, 0))(math.nan),
-     ValueError, "the parameter must be positive"),
+     ValueError, "the parameter must be positive and finite"),
+    ("metric-family-infinite-shrink",
+     lambda: ch.degeneration_family(2, (0, 1), (1, 0))(math.inf),
+     ValueError, "the parameter must be positive and finite"),
+    ("metric-family-infinite-grow",
+     lambda: ch.degeneration_family(2, (0, 1), (0, 0))(math.inf),
+     ValueError, "the parameter must be positive and finite"),
+    ("metric-family-shrink-underflow",
+     lambda: ch.degeneration_family(2, (0, 1), (1, 0))(1e300),
+     NonFiniteInput, UNDERFLOW),
     # subgroup
     ("subgroup-negative-dimension",
      lambda: ch.make_subgroup(-1),
      DimensionMismatch, "ambient dimension must be nonnegative"),
+    ("subgroup-underflowing-generator",
+     lambda: ch.make_subgroup(2, None, [(1e-170, 0)]),
+     NonFiniteInput, UNDERFLOW),
     ("subgroup-too-many-generators",
      lambda: ch.make_subgroup(2, None, [(1, 0), (0, 1), (1, 1)]),
      NonClosedInput, "more discrete generators than the complement can carry"),

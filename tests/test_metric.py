@@ -190,7 +190,7 @@ def test_dense_gap_matches_brute_oracle(rng):
         else:
             b = random_group(rng, n, (0, n))
         want = brute_gap(a.discrete_basis, b.discrete_basis, radius)
-        got = metric._exact_gap(a, b, radius)
+        got = next(metric._directed_gaps(a, b, (radius,), params, None))
         assert got == pytest.approx(want, abs=1e-12)
         oracle = max(want, brute_gap(b.discrete_basis, a.discrete_basis,
                                      radius))
@@ -203,9 +203,10 @@ def test_exact_gap_refuses_an_overfull_ball():
     # the farthest from Z^2 are at 0.4 from it in both coordinates
     a = ch.make_subgroup(2, None, [(0.2, 0.0), (0.0, 0.2)])
     target = ch.standard_subgroup(2, 0, 2)
-    assert metric._exact_gap(a, target, 8.0) == \
-        pytest.approx(0.4 * math.sqrt(2), abs=1e-12)
-    assert metric._exact_gap(a, target, 64.0) is None
+    gap = next(metric._directed_gaps(a, target, (8.0,), ch.MetricParams(),
+                                     None))
+    assert gap == pytest.approx(0.4 * math.sqrt(2), abs=1e-12)
+    assert metric._half_ball(a.discrete_basis, 64.0) is None
 
 
 def test_both_gap_routes_count_the_same_ball():
@@ -216,8 +217,75 @@ def test_both_gap_routes_count_the_same_ball():
     full = ch.make_subgroup(2, None, [(2.0, 0.0), (0.0, 1.0)])
     line = ch.make_subgroup(2, None, [(0.0, 1.0)])
     for target in (full, line):
-        gap = metric._directed_gap(a, target, 1.0, ch.MetricParams(), None)
+        gap = next(metric._directed_gaps(a, target, (1.0,),
+                                         ch.MetricParams(), None))
         assert gap == pytest.approx(1.0, abs=1e-9)
+
+
+def _sum_of_gaps(a, b, params=metric.DEFAULT_PARAMS):
+    """chabauty_distance from one hausdorff_gap call per radius."""
+    total = 0.0
+    for idx, (radius, weight) in enumerate(zip(params.radii, params.weights)):
+        capped = min(1.0, ch.hausdorff_gap(a, b, radius, params,
+                                           stop_above=1.0))
+        total += weight * capped
+        if capped >= 1.0:
+            total += sum(params.weights[idx + 1:])
+            break
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_distance_is_the_sum_of_its_gaps_on_random_pairs(n):
+    for s in ch.all_types(n):
+        for t in ch.all_types(n):
+            a = ch.random_subgroup(n, s, seed=10 * n + 1)
+            b = ch.random_subgroup(n, t, seed=10 * n + 2)
+            assert ch.chabauty_distance(a, b) == _sum_of_gaps(a, b)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_distance_is_the_sum_of_its_gaps_on_near_pairs(p):
+    rng = np.random.default_rng(p)
+    for eps in (1e-3, 1e-2, 1e-1):
+        rot, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        a = ch.apply_linear(rot, ch.standard_subgroup(2, p, 2 - p))
+        b = ch.apply_linear(np.eye(2) + eps * rng.normal(size=(2, 2)), a)
+        assert ch.chabauty_distance(a, b) == _sum_of_gaps(a, b) < 1.0
+
+
+def test_saturated_distance_measures_only_the_first_ball():
+    # (1, 0) and (0, 1), at distance 1 from 3Z^2, saturate the gap at
+    # R = 1: the one solver call measures them and the origin, one of
+    # each pair +-x, and the other direction is never measured
+    z2 = ch.standard_subgroup(2, 0, 2)
+    far = ch.make_subgroup(2, None, [(3.0, 0.0), (0.0, 3.0)])
+    with mock.patch.object(_lattice.LatticeSolver, "closest", autospec=True,
+                           side_effect=_lattice.LatticeSolver.closest) as cl:
+        got = ch.chabauty_distance(z2, far)
+    assert got == _sum_of_gaps(z2, far) == sum(metric.DEFAULT_PARAMS.weights)
+    assert [len(call.args[1]) for call in cl.call_args_list] == [3]
+
+
+def test_refused_top_ball_searches_radius_by_radius():
+    # 0.3 Z^2 holds about 142,000 points within 64 and 36,000 within 32:
+    # its top ball is refused, each smaller radius searches its own, and
+    # only R = 64 goes to the branch and bound; Z^2's top ball answers
+    # every radius at once
+    a = ch.make_subgroup(2, None, [(0.3, 0.0), (0.0, 0.3)])
+    z2 = ch.standard_subgroup(2, 0, 2)
+    radii = metric.DEFAULT_PARAMS.radii
+    with mock.patch.object(metric, "_half_ball",
+                           wraps=metric._half_ball) as ball, \
+            mock.patch.object(metric, "_directed_gap",
+                              wraps=metric._directed_gap) as bnb:
+        got = ch.chabauty_distance(a, z2)
+    assert got == _sum_of_gaps(a, z2)
+    assert [(c.args[0] is a.discrete_basis, c.args[1])
+            for c in ball.call_args_list] == \
+        [(True, 64.0), (True, 1.0), (False, 64.0)] + \
+        [(True, r) for r in radii[1:-1]]
+    assert [c.args[2] for c in bnb.call_args_list] == [64.0]
 
 
 def test_budget_error_states_its_numbers():
