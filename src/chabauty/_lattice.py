@@ -14,18 +14,18 @@ as rows of the reduced coefficients.  It has no iteration guard: a
 numeric failure raises EnumerationBudgetExceeded with its numbers.  Its
 output is a fixed point, which ``LatticeSolver`` takes as given.
 
-Ball enumeration and closest-vector queries share one lattice-point
-search, ``_fincke_pohst`` (Fincke & Pohst, Math. Comp. 1985), run
-breadth-first so that numpy treats every node of a level at once.  Its
-one budget is the number of nodes a level may hold, summed over the
-targets of one call.  ``LatticeSolver.class_vectors`` runs one batched
-closest-vector query for the shortest vector of each class of L/2L;
-``LatticeSolver.successive_norms`` and the Voronoi cell both read it.
-``search_ball`` returns the points of a ball in search order with their
-squared norms, for callers that take a maximum or a minimum over them;
-``enumerate_ball`` sorts the same points by (norm, lexicographic), the
-order the public ``points_in_ball`` functions promise and the successive
-norms break ties by, ``_ball_order``.
+A ``LatticeSolver`` holds the Gram-Schmidt data of one basis and every
+query on it: nearest plane (Babai, Combinatorica 6, 1986), the points
+of a ball in search order (``ball``, for a maximum or a minimum over
+them), closest vectors, and the shortest vector of each class of L/2L
+in one batched query (``class_vectors``, read by the successive norms
+and the Voronoi cell).  Balls and closest vectors share one
+lattice-point search, ``_fincke_pohst`` (Fincke & Pohst, Math. Comp.
+1985), breadth-first so that numpy treats every node of a level at
+once; its one budget is the number of nodes a level may hold, summed
+over the targets of one call.  ``enumerate_ball`` sorts a ball's points
+by ``_ball_order``, (norm, lexicographic): the order ``points_in_ball``
+promises and the successive norms break ties by.
 """
 from __future__ import annotations
 
@@ -105,17 +105,6 @@ def dual_coefficient_norms(basis: np.ndarray) -> np.ndarray:
     enumeration boxes.
     """
     return np.sqrt(np.diag(np.linalg.inv(basis @ basis.T)))
-
-
-def _gso(basis: np.ndarray):
-    """Gram-Schmidt orthogonalization (not normalized): returns (bstar, mu)."""
-    k, n = basis.shape
-    bstar = np.zeros((k, n))
-    bsq = np.zeros(k)
-    mu = np.zeros((k, k))
-    for i in range(k):
-        _gso_row(basis, bstar, bsq, mu, i)
-    return bstar, mu
 
 
 def _gso_row(basis, bstar, bsq, mu, i):
@@ -247,11 +236,8 @@ def basis_from_generators(gens, zero_tol: float):
     lifts = coef[~rel]
     # the relations' rounding error, times the long vector parts, skews
     # the first pass's multipliers: reduce the other coefficient rows
-    # against the relations alone, by nearest plane
-    rstar, _ = _gso(relations)
-    for j in range(relations.shape[0] - 1, -1, -1):
-        c = np.round(lifts @ rstar[j] / (rstar[j] @ rstar[j]))
-        lifts -= c[:, None] * relations[j]
+    # against the relations alone, by nearest plane, exactly on integers
+    lifts -= LatticeSolver(relations).nearest_plane(lifts) @ relations
     second = _lll(np.hstack([lifts @ g / w, lifts]), n)
     basis = second[:, :n] * w
     coeffs = second[:, n:].astype(np.int64)
@@ -314,30 +300,6 @@ def _fincke_pohst(mu, bstar_sq, centres, bound2, cap=1_000_000):
     return owner, coeffs
 
 
-def search_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
-    """All lattice points of norm at most ``radius * BALL``, in the
-    order the Fincke-Pohst search finds them.
-
-    Returns ``(points, coeffs, sq_norms)``; the origin is always
-    included.  For callers that need no order, such as a maximum or a
-    minimum over the ball.  Raises EnumerationBudgetExceeded when one
-    level of the search would hold more than ``cap`` nodes.
-    """
-    basis = np.asarray(basis, dtype=float)
-    q = basis.shape[0]
-    if not 0 <= radius < np.inf:
-        raise ValueError("radius must be finite and nonnegative")
-    rcut = radius * BALL
-    rcut2 = rcut * rcut
-    bstar, mu = _gso(basis)
-    _, cs = _fincke_pohst(mu, np.einsum("ij,ij->i", bstar, bstar),
-                          np.zeros((1, q)), np.array([rcut2]), cap)
-    pts = cs @ basis
-    sq = np.einsum("ij,ij->i", pts, pts)
-    keep = sq <= rcut2
-    return pts.compress(keep, axis=0), cs.compress(keep, axis=0), sq[keep]
-
-
 def _ball_keys(pts: np.ndarray, sizes: np.ndarray):
     """The rows ``pts`` and their norms ``sizes`` divided by the power of
     two at or below the largest norm, rounded to 9 digits: keys without
@@ -353,9 +315,9 @@ def _ball_order(keys: np.ndarray, size_keys: np.ndarray) -> np.ndarray:
 
 
 def enumerate_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
-    """The points of ``search_ball`` with their coefficients, in
-    ``_ball_order``."""
-    pts, cs = search_ball(basis, radius, cap)[:2]
+    """The points of ``LatticeSolver(basis).ball`` with their
+    coefficients, in ``_ball_order``."""
+    pts, cs = LatticeSolver(basis).ball(radius, cap)[:2]
     order = _ball_order(*_ball_keys(pts, np.linalg.norm(pts, axis=1)))
     return pts[order], cs[order]
 
@@ -419,8 +381,8 @@ def _voronoi_walk(normals, rhs):
 
 
 class LatticeSolver:
-    """Exact batched closest-vector queries against a fixed lattice, and
-    its covering radius.  A lattice of rank 0 is the origin alone.
+    """A fixed lattice basis, its Gram-Schmidt data, and the queries on
+    them.  A lattice of rank 0 is the origin alone.
 
     The basis is taken as given; a reduced one, a canonical
     ``discrete_basis`` or one from ``basis_from_generators``, keeps the
@@ -433,9 +395,13 @@ class LatticeSolver:
 
     def __init__(self, basis):
         self.basis = np.array(basis, dtype=float, ndmin=2)
-        self.rank = self.basis.shape[0]
+        self.rank = k = self.basis.shape[0]
         self._cover = self._classes = None
-        self._bstar, self._mu = _gso(self.basis)
+        self._bstar, self._mu = np.zeros(self.basis.shape), np.zeros((k, k))
+        bsq = np.zeros(k)
+        for i in range(k):
+            _gso_row(self.basis, self._bstar, bsq, self._mu, i)
+        # not bsq: its v @ v differs in the last bit, and results with it
         self._bstar_sq = np.einsum("ij,ij->i", self._bstar, self._bstar)
 
     def nearest_plane(self, targets: np.ndarray) -> np.ndarray:
@@ -454,6 +420,22 @@ class LatticeSolver:
             coeffs[:, i] = c.astype(np.int64)
             y -= np.outer(c, self.basis[i])
         return coeffs
+
+    def ball(self, radius: float, cap: int = 1_000_000):
+        """``(points, coeffs, sq_norms)`` of the lattice points of norm
+        at most ``radius * BALL``, the origin included, in search order:
+        for a maximum or a minimum over them.  Raises
+        EnumerationBudgetExceeded when one level of the search would hold
+        more than ``cap`` nodes."""
+        if not 0 <= radius < np.inf:
+            raise ValueError("radius must be finite and nonnegative")
+        rcut2 = np.square(radius * BALL)
+        _, cs = _fincke_pohst(self._mu, self._bstar_sq,
+                              np.zeros((1, self.rank)), np.array([rcut2]), cap)
+        pts = cs @ self.basis
+        sq = np.einsum("ij,ij->i", pts, pts)
+        keep = sq <= rcut2
+        return pts.compress(keep, axis=0), cs.compress(keep, axis=0), sq[keep]
 
     def closest(self, targets: np.ndarray, cap: int = 1_000_000):
         """Exact closest vectors: returns (distances, coefficients).

@@ -8,19 +8,20 @@ least such slack for one ball radius; ``chabauty_distance`` aggregates
 the gaps over dyadic radii with summable weights.
 
 The gap is a supremum of a distance function over the trace of a
-subgroup in a ball.  From the whole space it is exact: min(R, mu), mu
-the covering radius of the target's lattice part, or R when the target
-is not of full rank.  From a lattice towards a full-rank target, it is
-the exact maximum over the ball's points while the ball's search holds
-at most 65,536 nodes on each level: each direction searches one ball,
-at the largest radius, and measures one point of each pair +-x, as
-dist(-x, H) = dist(x, H).  Otherwise sampling the trace densely
-is hopeless at radius 64, so the supremum is computed by certified
-branch and bound: the group structure gives per-direction Lipschitz
-bounds (stepping by a basis vector b changes the distance by at most
-dist(b, other)), and the search stops when the best undecided cell
-cannot beat the incumbent by more than the configured grid resolution.
-The incumbent starts at the largest distance of a source basis vector
+subgroup in a ball, and each direction picks its route once.  From the
+whole space it is exact: min(R, mu), mu the covering radius of the
+target's lattice part, or R when the target is not of full rank.  From
+a lattice towards a full-rank target, it is the exact maximum over the
+ball's points while the ball's search holds at most 65,536 nodes on
+each level: each direction searches one ball, at the largest radius,
+and measures one point of each pair +-x, as dist(-x, H) = dist(x, H).
+Otherwise sampling the trace densely is hopeless at radius 64, so the
+supremum is computed by certified branch and bound, set up once per
+direction: the group structure gives per-direction Lipschitz bounds
+(stepping by a basis vector b changes the distance by at most dist(b,
+other)), and the search stops when the best undecided cell cannot beat
+the incumbent by more than the configured grid resolution.  The
+incumbent starts at the largest distance of a source basis vector
 inside the ball, and the first round's one cell, the whole box around
 the origin, is bounded by the basis match: each coefficient bound
 times the lesser of its vector's length and distance to the target,
@@ -74,6 +75,8 @@ class MetricParams:
         w = tuple(_real(x, "weights") for x in self.weights)
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "weights", w)
+        if not r:
+            raise ValueError("radii must not be empty")
         if len(r) != len(w):
             raise ValueError("radii and weights must have equal length")
         if any(b <= a for a, b in zip(r, r[1:])):
@@ -218,12 +221,12 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     return lo
 
 
-def _half_ball(basis: np.ndarray, radius: float):
-    """(points, squared norms) of the lattice in the ball, one of each
-    pair +-x (those whose last nonzero coefficient is positive, and 0), or
-    None when a level of the search would hold over 65,536 nodes."""
+def _half_ball(group: ClosedSubgroup, radius: float):
+    """(points, squared norms) of the group's lattice in the ball, one of
+    each pair +-x (those whose last nonzero coefficient is positive, and
+    0), or None when a level of the search would hold over 65,536 nodes."""
     try:
-        pts, cs, sq = _lattice.search_ball(basis, radius, cap=65_536)
+        pts, cs, sq = _solver(group).ball(radius, cap=65_536)
     except EnumerationBudgetExceeded:
         return None
     last = cs.shape[1] - 1 - np.argmax(cs[:, ::-1] != 0, axis=1)
@@ -233,69 +236,63 @@ def _half_ball(basis: np.ndarray, radius: float):
 
 def _directed_gaps(src: ClosedSubgroup, dst: ClosedSubgroup, radii,
                    params: MetricParams, stop_above):
-    """The directed gap at each of the increasing ``radii`` in turn.  From
-    a lattice to a full-rank target: the largest distance over the
-    ``_half_ball`` of the largest radius, each radius measuring its new
-    shell; if refused, over each radius's own ball up to the first refused
-    one (balls nest).  Other radii and pairs go to ``_directed_gap``."""
-    exact = src.continuous_dim == 0 < src.discrete_rank \
-        and dst.rank == src.ambient_dim and dst.discrete_rank > 0
-    held, refused = -1.0, (math.inf if exact else 0.0)
-    gap, inner2 = 0.0, -1.0
-    for radius in radii:
-        for r in (radii[-1], radius):  # the largest ball first
-            if held < radius and r < refused:
-                ball = _half_ball(src.discrete_basis, r)
-                held, refused = (held, r) if ball is None else (r, refused)
-        if held < radius:
-            yield _directed_gap(src, dst, radius, params, stop_above)
-            continue
-        pts, sq = ball
-        cut2 = np.square(radius * _lattice.BALL)
-        shell = pts.compress((sq > inner2) & (sq <= cut2), axis=0)
-        inner2 = cut2
-        for start in range(0, shell.shape[0], 20_000):
-            gap = max(gap, float(np.max(
-                _distances(dst, shell[start:start + 20_000]))))
-        yield gap
-
-
-def _directed_gap(src: ClosedSubgroup, dst: ClosedSubgroup, radius: float,
-                  params: MetricParams, stop_above) -> float:
-    """One radius of ``_directed_gaps`` off the exact lattice path."""
-    ps, qs = src.group_type
+    """The directed gap at each of the increasing ``radii``, by a route
+    chosen once: 0 from the trivial group or towards the whole space,
+    min(R, mu) from the whole space, and from a lattice to a full-rank
+    target the largest distance over the ``_half_ball`` of the largest
+    radius, shell by shell, or if it is refused over each radius's own
+    ball.  Other pairs, and every radius from the first refused ball on
+    (balls nest), go to the branch and bound, set up at its first radius."""
     n = src.ambient_dim
-    if ps == 0 and qs == 0:
-        return 0.0
-    if dst.rank == n and dst.discrete_rank == 0:
-        return 0.0  # the target is the full space
-    if ps == n:
+    if src.rank == 0 or dst.rank == n and dst.discrete_rank == 0:
+        yield from (0.0 for _ in radii)
+    elif src.continuous_dim == n:
         # dist(x, dst) <= |x| as 0 lies in dst, with equality exactly on
         # the Voronoi cell of 0, a convex set reaching out to the covering
         # radius; a target of lower rank leaves a whole direction free
-        if dst.rank < n:
-            return radius
-        return min(radius, _solver(dst).covering_radius()[0])
-    ub_cap = math.inf
-    if dst.rank == n:
-        try:  # the covering radius bounds every distance to the target
-            ub_cap = _solver(dst).covering_radius()[0]
-        except EnumerationBudgetExceeded:
-            pass  # the Voronoi walk refuses the target's lattice part
-    cont = dst.continuous_basis
-    leak0 = src.continuous_basis - (src.continuous_basis @ cont.T) @ cont
-    sigma = min(1.0, float(
-        np.linalg.svd(leak0, compute_uv=False).max(initial=0.0)))
-    ei = _distances(dst, src.discrete_basis)
-    row_norms = np.linalg.norm(src.discrete_basis, axis=1)
-    nu = _lattice.dual_coefficient_norms(src.discrete_basis)
-    int_bounds = np.floor(radius * nu + 1e-9).astype(np.int64)
-    # the basis vectors inside the ball are points of the trace
-    lo = float(np.max(ei[row_norms <= radius * _lattice.BALL], initial=0.0))
-    return _certified_sup(
-        lambda xs: _distances(dst, xs), src.discrete_basis,
-        np.minimum(ei, row_norms), int_bounds, src.continuous_basis, sigma,
-        radius, params.grid, stop_above, params.cap, lo, ub_cap)
+        mu = _solver(dst).covering_radius()[0] if dst.rank == n else math.inf
+        yield from (min(radius, mu) for radius in radii)
+    else:
+        exact = src.continuous_dim == 0 and dst.rank == n
+        held, refused = -1.0, (math.inf if exact else 0.0)
+        gap, inner2, nu = 0.0, -1.0, None
+        for radius in radii:
+            for r in (radii[-1], radius):  # the largest ball first
+                if held < radius and r < refused:
+                    ball = _half_ball(src, r)
+                    held, refused = (held, r) if ball is None else (r, refused)
+            if held >= radius:
+                pts, sq = ball
+                cut2 = np.square(radius * _lattice.BALL)
+                shell = pts.compress((sq > inner2) & (sq <= cut2), axis=0)
+                inner2 = cut2
+                for start in range(0, shell.shape[0], 20_000):
+                    gap = max(gap, float(np.max(
+                        _distances(dst, shell[start:start + 20_000]))))
+                yield gap
+                continue
+            if nu is None:
+                try:  # the covering radius bounds every distance to dst
+                    ub_cap = _solver(dst).covering_radius()[0] \
+                        if dst.rank == n else math.inf
+                except EnumerationBudgetExceeded:  # the walk is refused
+                    ub_cap = math.inf
+                sc, cont = src.continuous_basis, dst.continuous_basis
+                leak0 = sc - (sc @ cont.T) @ cont
+                sigma = min(1.0, float(
+                    np.linalg.svd(leak0, compute_uv=False).max(initial=0.0)))
+                ei = _distances(dst, src.discrete_basis)
+                row_norms = np.linalg.norm(src.discrete_basis, axis=1)
+                nu = _lattice.dual_coefficient_norms(src.discrete_basis)
+            # the basis vectors inside the ball are points of the trace
+            lo = float(np.max(ei[row_norms <= radius * _lattice.BALL],
+                              initial=0.0))
+            yield _certified_sup(
+                lambda xs: _distances(dst, xs), src.discrete_basis,
+                np.minimum(ei, row_norms),
+                np.floor(radius * nu + 1e-9).astype(np.int64),
+                src.continuous_basis, sigma, radius, params.grid, stop_above,
+                params.cap, lo, ub_cap)
 
 
 def _gaps(group_a: ClosedSubgroup, group_b: ClosedSubgroup, radii,

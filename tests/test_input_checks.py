@@ -1,13 +1,16 @@
 """Input checks across the package, one row each: the call, the error
 type and the exact message."""
 import dataclasses
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chabauty as ch
+from chabauty import cli
 from chabauty.errors import (DimensionMismatch, FlagsTooFar,
                              InconsistentData, InvalidPair, InvalidType,
                              NonClosedInput, NonFiniteInput, NotInC1,
@@ -39,6 +42,9 @@ UNDERFLOW = ("generators must have finite squared norms, normal floats "
 
 CASES = [
     # metric
+    ("metric-params-no-radii",
+     lambda: ch.MetricParams(radii=(), weights=()),
+     ValueError, "radii must not be empty"),
     ("metric-params-lengths",
      lambda: ch.MetricParams(radii=(1.0, 2.0), weights=(1.0,)),
      ValueError, "radii and weights must have equal length"),
@@ -150,6 +156,16 @@ CASES = [
 def test_input_check_raises(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_cli_refuses_empty_radii(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"radii": [], "weights": []}))
+    z3 = str(Path(__file__).parent / "fixtures" / "z3.json")
+    assert cli.run(["dist", z3, z3, "--params", str(params)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "OutOfRange",
+        "message": "invalid metric parameters: radii must not be empty"}
 
 
 def test_the_zero_space_maps_to_itself():

@@ -239,8 +239,8 @@ def test_class_query_reach():
         ch.norms(ch.standard_subgroup(13, 0, 13))
     g = ch.random_subgroup(12, (0, 12), seed=12)
     basis = g.discrete_basis
-    sq = _lattice.search_ball(
-        basis, float(np.linalg.norm(basis, axis=1).min()))[2]
+    sq = _lattice.LatticeSolver(basis).ball(
+        float(np.linalg.norm(basis, axis=1).min()))[2]
     assert ch.norms(g)[0] == pytest.approx(np.sqrt(sq[sq > 0].min()),
                                            rel=1e-12)
 

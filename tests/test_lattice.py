@@ -252,7 +252,7 @@ def from_zeros(shape):
     pytest.param(lambda: from_zeros((2, 0)),
                  (np.zeros((0, 0)), np.zeros((0, 2)), np.eye(2)),
                  id="generators-of-width-0"),
-    pytest.param(lambda: _lattice.search_ball(np.zeros((0, 2)), 1.0),
+    pytest.param(lambda: _lattice.LatticeSolver(np.zeros((0, 2))).ball(1.0),
                  (np.zeros((1, 2)), np.zeros((1, 0)), np.zeros(1)),
                  id="ball-rank-0"),
     pytest.param(lambda: (_lattice.lll_reduce(np.zeros((0, 3))),),

@@ -206,7 +206,7 @@ def test_exact_gap_refuses_an_overfull_ball():
     gap = next(metric._directed_gaps(a, target, (8.0,), ch.MetricParams(),
                                      None))
     assert gap == pytest.approx(0.4 * math.sqrt(2), abs=1e-12)
-    assert metric._half_ball(a.discrete_basis, 64.0) is None
+    assert metric._half_ball(a, 64.0) is None
 
 
 def test_both_gap_routes_count_the_same_ball():
@@ -277,15 +277,31 @@ def test_refused_top_ball_searches_radius_by_radius():
     radii = metric.DEFAULT_PARAMS.radii
     with mock.patch.object(metric, "_half_ball",
                            wraps=metric._half_ball) as ball, \
-            mock.patch.object(metric, "_directed_gap",
-                              wraps=metric._directed_gap) as bnb:
+            mock.patch.object(metric, "_certified_sup",
+                              wraps=metric._certified_sup) as bnb:
         got = ch.chabauty_distance(a, z2)
     assert got == _sum_of_gaps(a, z2)
-    assert [(c.args[0] is a.discrete_basis, c.args[1])
-            for c in ball.call_args_list] == \
+    assert [(c.args[0] is a, c.args[1]) for c in ball.call_args_list] == \
         [(True, 64.0), (True, 1.0), (False, 64.0)] + \
         [(True, r) for r in radii[1:-1]]
-    assert [c.args[2] for c in bnb.call_args_list] == [64.0]
+    assert [c.args[6] for c in bnb.call_args_list] == [64.0]
+
+
+def test_branch_and_bound_set_up_once_per_direction():
+    # a near (1,1) pair: every radius of both directions goes to the
+    # branch and bound, whose per-direction data are computed once each
+    rng = np.random.default_rng(7)
+    rot, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    a = ch.apply_linear(rot, ch.standard_subgroup(2, 1, 1))
+    b = ch.apply_linear(np.eye(2) + 1e-3 * rng.normal(size=(2, 2)), a)
+    with mock.patch.object(_lattice, "dual_coefficient_norms",
+                           wraps=_lattice.dual_coefficient_norms) as nu, \
+            mock.patch.object(metric, "_certified_sup",
+                              wraps=metric._certified_sup) as bnb:
+        got = ch.chabauty_distance(a, b)
+    assert nu.call_count == 2
+    assert got == _sum_of_gaps(a, b) < 1.0
+    assert bnb.call_count == 14
 
 
 def test_budget_error_states_its_numbers():
@@ -315,8 +331,8 @@ def test_branch_and_bound_matches_brute_oracle(n, source, target):
         b = random_group(rng, n, target)
         for radius in (1.0, 2.0, 4.0, 8.0):
             oracle = brute_gap_to(a.discrete_basis, b, radius)
-            got = metric._directed_gap(a, b, radius, metric.DEFAULT_PARAMS,
-                                       None)
+            got = next(metric._directed_gaps(a, b, (radius,),
+                                             metric.DEFAULT_PARAMS, None))
             assert oracle - grid <= got <= oracle + grid / 2
 
 
@@ -338,8 +354,8 @@ def test_continuous_source_matches_mesh_oracle(n, source):
         b = random_group(rng, n, target)
         for radius in (1.0, 2.0, 4.0):
             oracle = brute_gap_mesh(a, b, radius, h)
-            got = metric._directed_gap(a, b, radius, metric.DEFAULT_PARAMS,
-                                       None)
+            got = next(metric._directed_gaps(a, b, (radius,),
+                                             metric.DEFAULT_PARAMS, None))
             assert oracle - grid <= got <= oracle + slack + grid / 2
 
 
@@ -356,8 +372,9 @@ def test_rank_7_target_without_a_covering_radius():
     assert np.array_equal(line.continuous_basis, strip.continuous_basis)
     ch.hausdorff_gap(line, b, 1.0)
     ch.hausdorff_gap(strip, b, 1.0)
-    assert metric._directed_gap(strip, b, 1.0, params, None) >= \
-        metric._directed_gap(line, b, 1.0, params, None) - params.grid
+    assert next(metric._directed_gaps(strip, b, (1.0,), params, None)) >= \
+        next(metric._directed_gaps(line, b, (1.0,), params, None)) \
+        - params.grid
 
 
 def test_refused_walk_is_kept_on_the_solver():
@@ -385,8 +402,8 @@ def test_lattice_point_outside_the_ball_does_not_count():
     a = ch.make_subgroup(2, None, [(1.0, 0.0), (0.1, 1.0)])
     b = ch.make_subgroup(2, [(1.0, 0.0)])
     assert brute_gap_to(a.discrete_basis, b, 1.0) == 0.0
-    assert metric._directed_gap(a, b, 1.0, metric.DEFAULT_PARAMS,
-                                None) == 0.0
+    assert next(metric._directed_gaps(a, b, (1.0,), metric.DEFAULT_PARAMS,
+                                      None)) == 0.0
     assert ch.hausdorff_gap(a, b, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 

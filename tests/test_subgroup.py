@@ -128,8 +128,8 @@ def test_points_in_ball_order_contract(rng):
         keys = [_order_key(p) for p in pts]
         assert keys == sorted(keys)
         # the sort is the only difference from the search order
-        found, found_coeffs, sq = _lattice.search_ball(g.discrete_basis,
-                                                       radius)
+        found, found_coeffs, sq = _lattice.LatticeSolver(
+            g.discrete_basis).ball(radius)
         np.testing.assert_allclose(sq, np.linalg.norm(found, axis=1) ** 2,
                                    rtol=1e-12, atol=1e-12)
         order = sorted(range(len(found)), key=lambda i: _order_key(found[i]))
