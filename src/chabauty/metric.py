@@ -20,15 +20,22 @@ supremum is computed by certified branch and bound, set up once per
 direction: the group structure gives per-direction Lipschitz bounds
 (stepping by a basis vector b changes the distance by at most dist(b,
 other)), and the search stops when the best undecided cell cannot beat
-the incumbent by more than the configured grid resolution.  The
-incumbent starts at the largest distance of a source basis vector
-inside the ball, and the first round's one cell, the whole box around
-the origin, is bounded by the basis match: each coefficient bound
-times the lesser of its vector's length and distance to the target,
-plus the continuous leak over the ball, so near-identical pairs are
-certified there.  Towards a full-rank target no cell's bound exceeds
-mu, which bounds every distance to it, so the search ends as soon as
-the incumbent comes within the grid of mu.  The open cells are the
+the incumbent by more than the configured grid resolution.  The basis
+match, each source basis row less its closest target point or, for a
+continuous row, its projection on the target's continuous part, gives
+a linear map K with dist(x, other) <= |x| slope on the source (a
+subgroup near another is its image under a map near the identity), so
+no cell's bound exceeds R slope.  The incumbent starts at the largest
+distance of the source basis vectors inside the ball and of probes,
+source points along the direction where that majorant is largest,
+which depend on the radius alone.  The first round's one cell, the
+whole box around the origin where the distance is 0, is bounded in
+closed form: each coefficient bound times the lesser of its vector's
+length and distance to the target, plus the continuous leak over the
+ball, capped at R slope, so near-identical pairs are certified with no
+evaluation.  Towards a full-rank target no cell's bound exceeds mu,
+which bounds every distance to it, so the search ends as soon as the
+incumbent comes within the grid of mu.  The open cells are the
 rows of one table, lattice coefficients and continuous coordinates
 alike, and numpy bounds and splits 256 of them at a time, highest
 bound first; only points inside the ball count.  The returned value g
@@ -124,13 +131,13 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
 
     ``int_lips`` and ``cont_lip`` (one for every continuous coordinate)
     bound the change of f per unit step in a coordinate; the spatial
-    step sizes are the row norms.  ``ub_cap`` bounds f everywhere: the
-    covering radius mu of a full-rank target's lattice part, or inf for
-    other targets and for those whose Voronoi cell is not walked.
+    step sizes are the row norms.  ``ub_cap`` bounds f in the ball: the
+    linear majorant R slope, or the covering radius mu of a full-rank
+    target's lattice part when that is less.
     ``lo`` is the starting incumbent, a value of f attained inside the
-    ball.  The first round's one cell is the whole box, evaluated at
-    the origin where f is 0: when its Lipschitz bound is within 0.45
-    grid of ``lo``, the search returns ``lo`` after one evaluation.
+    ball.  The first round's one cell is the whole box, centred at the
+    origin where f is 0: when its bound is within 0.45 grid of ``lo``,
+    the search returns ``lo`` with no evaluation, as that round would.
     Returns an attained value lo such that sup <= lo + grid (unless
     ``stop_above`` fired first, in which case lo >= stop_above).
 
@@ -157,6 +164,10 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     stop = math.inf if stop_above is None else stop_above
     evals = 0
     half = np.concatenate([int_bounds, np.full(pc, float(ball_radius))])
+    # the first round's one cell, the whole box, centred at the origin
+    # where f is 0: its bound in closed form
+    if min(half @ lips, ub_cap, half @ row_norms, inside) <= lo + grid_eff:
+        return lo
     cell_lo, cell_hi, ub = -half[None], half[None], np.array([math.inf])
     stale = 0  # dropped since a round last took every open cell; the
     # budget error counts them as open, as a heap keeps them until popped
@@ -234,6 +245,43 @@ def _half_ball(group: ClosedSubgroup, radius: float):
     return pts.compress(keep, axis=0), sq.compress(keep)
 
 
+def _basis_match(src: ClosedSubgroup, dst: ClosedSubgroup):
+    """Match each source lattice basis vector to its closest point of
+    ``dst`` and each continuous source row to its projection on the
+    continuous part of ``dst``; the misses, row minus match, are the
+    rows of K.  With A the source's lattice rows over its continuous
+    ones, a point x = [c, s] A of the source has the point x - [c, s] K
+    of ``dst``, so dist(x, dst) <= |x pinv(A) K| <= |x| slope, slope the
+    largest singular value of pinv(A) K.
+
+    Returns (ei, sigma, slope, probes): the lengths of the lattice
+    misses, the largest singular value of the continuous ones capped at
+    1, slope, and ``probes(radius)``, the source points within the ball
+    among t radius u, t in [0.6, 1] and u the unit vector on which the
+    bound is largest, each with its lattice coordinates rounded.  The
+    probes of a ball depend on its radius alone."""
+    sd, sc = src.discrete_basis, src.continuous_basis
+    cont, solver = dst.continuous_basis, _solver(dst)
+    off = sd - (sd @ cont.T) @ cont
+    ei, match = solver.closest(off)
+    leak0 = sc - (sc @ cont.T) @ cont
+    sigma = min(1.0, float(
+        np.linalg.svd(leak0, compute_uv=False).max(initial=0.0)))
+    rows = np.vstack([sd, sc])
+    coords = np.linalg.pinv(rows)
+    left, sv, _ = np.linalg.svd(
+        coords @ np.vstack([off - match @ solver.basis, leak0]))
+
+    def probes(radius):
+        inside = radius * _lattice.BALL
+        cs = np.outer(np.linspace(0.6, 1.0, 9) * inside, left[:, 0]) @ coords
+        cs[:, :sd.shape[0]] = np.round(cs[:, :sd.shape[0]])
+        pts = cs @ rows
+        return pts.compress(np.linalg.norm(pts, axis=1) <= inside, axis=0)
+
+    return ei, sigma, float(sv[0]), probes
+
+
 def _directed_gaps(src: ClosedSubgroup, dst: ClosedSubgroup, radii,
                    params: MetricParams, stop_above):
     """The directed gap at each of the increasing ``radii``, by a route
@@ -242,7 +290,8 @@ def _directed_gaps(src: ClosedSubgroup, dst: ClosedSubgroup, radii,
     target the largest distance over the ``_half_ball`` of the largest
     radius, shell by shell, or if it is refused over each radius's own
     ball.  Other pairs, and every radius from the first refused ball on
-    (balls nest), go to the branch and bound, set up at its first radius."""
+    (balls nest), go to the branch and bound, set up at its first radius
+    and capped at the lesser of mu and the basis match's majorant."""
     n = src.ambient_dim
     if src.rank == 0 or dst.rank == n and dst.discrete_rank == 0:
         yield from (0.0 for _ in radii)
@@ -273,26 +322,25 @@ def _directed_gaps(src: ClosedSubgroup, dst: ClosedSubgroup, radii,
                 continue
             if nu is None:
                 try:  # the covering radius bounds every distance to dst
-                    ub_cap = _solver(dst).covering_radius()[0] \
+                    mu = _solver(dst).covering_radius()[0] \
                         if dst.rank == n else math.inf
                 except EnumerationBudgetExceeded:  # the walk is refused
-                    ub_cap = math.inf
-                sc, cont = src.continuous_basis, dst.continuous_basis
-                leak0 = sc - (sc @ cont.T) @ cont
-                sigma = min(1.0, float(
-                    np.linalg.svd(leak0, compute_uv=False).max(initial=0.0)))
-                ei = _distances(dst, src.discrete_basis)
+                    mu = math.inf
+                ei, sigma, slope, probes = _basis_match(src, dst)
                 row_norms = np.linalg.norm(src.discrete_basis, axis=1)
                 nu = _lattice.dual_coefficient_norms(src.discrete_basis)
-            # the basis vectors inside the ball are points of the trace
-            lo = float(np.max(ei[row_norms <= radius * _lattice.BALL],
-                              initial=0.0))
+            inside = radius * _lattice.BALL
+            # the basis vectors inside the ball and the probes are points
+            # of the trace
+            lo = max(float(np.max(ei[row_norms <= inside], initial=0.0)),
+                     float(np.max(_distances(dst, probes(radius)),
+                                  initial=0.0)))
             yield _certified_sup(
                 lambda xs: _distances(dst, xs), src.discrete_basis,
                 np.minimum(ei, row_norms),
                 np.floor(radius * nu + 1e-9).astype(np.int64),
                 src.continuous_basis, sigma, radius, params.grid, stop_above,
-                params.cap, lo, ub_cap)
+                params.cap, lo, min(mu, inside * slope * (1 + 1e-9) + 1e-12))
 
 
 def _gaps(group_a: ClosedSubgroup, group_b: ClosedSubgroup, radii,

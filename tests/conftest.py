@@ -297,12 +297,16 @@ def brute_norms(group):
 
 
 def contains(big, small, tol=1e-9):
-    """Does ``big`` contain every generator of ``small``?  Off the
-    continuous part of ``big``, each must have integer coordinates in
-    its lattice basis."""
-    gens = np.vstack([small.continuous_basis, small.discrete_basis])
-    cont, disc = big.continuous_basis, big.discrete_basis
-    resid = gens - (gens @ cont.T) @ cont
+    """Does ``big`` contain every generator of ``small``?"""
+    return in_group(big, np.vstack([small.continuous_basis,
+                                    small.discrete_basis]), tol)
+
+
+def in_group(group, pts, tol=1e-9):
+    """Is every row of ``pts`` a point of ``group``?  Off its continuous
+    part, each must have integer coordinates in its lattice basis."""
+    cont, disc = group.continuous_basis, group.discrete_basis
+    resid = pts - (pts @ cont.T) @ cont
     if disc.shape[0]:
         coords = np.linalg.lstsq(disc.T, resid.T, rcond=None)[0].T
         resid = resid - np.round(coords) @ disc

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,8 @@ import chabauty as ch
 from chabauty import _lattice, metric, subgroup
 from chabauty.errors import EnumerationBudgetExceeded, InvalidPair, Unstable
 
-from conftest import (brute_gap, brute_gap_mesh, brute_gap_to,
+from conftest import (brute_distance_to, brute_gap, brute_gap_mesh,
+                      brute_gap_to, brute_points_in_ball, in_group,
                       random_group, reference_certified_sup)
 
 
@@ -421,12 +423,76 @@ def _first_round_calls(int_lips, lo):
 
 
 def test_first_round_is_the_basis_match_certificate():
-    # the one cell of the first round is the whole box, evaluated at the
-    # origin: its bound 2 * 0.005 + 2 * 0.005 = 0.02 is within 0.45 grid
-    # of the starting value, which it certifies
-    assert _first_round_calls([0.005, 0.005], 0.003) == (0.003, [1])
+    # the one cell of the first round is the whole box, centred at the
+    # origin where f is 0: its bound 2 * 0.005 + 2 * 0.005 = 0.02 is
+    # within 0.45 grid of the starting value, which it certifies without
+    # evaluating f
+    assert _first_round_calls([0.005, 0.005], 0.003) == (0.003, [])
     got, calls = _first_round_calls([0.05, 0.05], 0.003)
     assert calls[:2] == [1, 2] and got >= 0.003
+
+
+def _trace_sample(group, radius, rng, size=16):
+    """Points of the group's trace in the ball: lattice points in it,
+    as they are and moved by a random step along the continuous part
+    that keeps them inside (the lattice part is orthogonal to it)."""
+    pts = brute_points_in_ball(group.discrete_basis, radius)
+    pts = pts[rng.integers(pts.shape[0], size=size)]
+    room = np.sqrt(np.maximum(radius ** 2 - np.sum(pts * pts, axis=1), 0.0))
+    step = rng.normal(size=(size, group.continuous_dim))
+    step *= (room * rng.uniform(size=size)
+             / np.maximum(np.linalg.norm(step, axis=1), 1e-300))[:, None]
+    return np.vstack([pts, pts + step @ group.continuous_basis])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_match_majorant_is_sound(n):
+    """dist(x, b) <= |x| slope on the trace of a, every probe is a point
+    of a inside the ball, and the brute oracles' gap is at most R slope:
+    every type pair, and near pairs (a, (I + eps M) a)."""
+    rng = np.random.default_rng([23, n])
+    pairs = []
+    for s in ch.all_types(n):
+        if s == (0, 0):
+            continue
+        pairs += [(random_group(rng, n, s), random_group(rng, n, t))
+                  for t in ch.all_types(n)]
+        a = random_group(rng, n, s)
+        eps = 10.0 ** rng.uniform(-3, -1)
+        pairs.append((a, ch.apply_linear(
+            np.eye(n) + eps * rng.normal(size=(n, n)), a)))
+    for a, b in pairs:
+        _, _, slope, probes = metric._basis_match(a, b)
+        for radius in (1.0, 4.0):
+            xs = _trace_sample(a, radius, rng)
+            xs = xs[np.linalg.norm(xs, axis=1) <= radius * _lattice.BALL]
+            assert np.all(brute_distance_to(b, xs) <= np.linalg.norm(
+                xs, axis=1) * slope * (1 + 1e-9) + 1e-12)
+            pts = probes(radius)
+            assert np.all(np.linalg.norm(pts, axis=1)
+                          <= radius * _lattice.BALL)
+            assert in_group(a, pts)
+            oracle = brute_gap_to(a.discrete_basis, b, radius) \
+                if a.continuous_dim == 0 \
+                else brute_gap_mesh(a, b, radius, radius / 4)
+            assert oracle <= radius * slope * (1 + 1e-9) + 1e-12
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("near_n5_type05", 1), ("near_n5_type14", 1), ("near_n5_type32", 2),
+    ("near_n6_type06", 1), ("near_n6_type06", 2), ("near_n6_type33", 2),
+    ("near_n7_type07", 1)])
+def test_near_pairs_past_n4_answer(name, seed):
+    """Near pairs at n = 5..7, drawn as the benchmark's frontier draws
+    them, answer within 20,000 evaluations: the basis match certifies
+    most balls in its first round."""
+    n, p, q = (int(c) for c in name[6] + name[-2:])
+    rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+    a = ch.random_subgroup(n, (p, q), seed=int(rng.integers(2 ** 32)))
+    eps = math.exp(rng.uniform(math.log(1e-3), math.log(1e-1)))
+    b = ch.apply_linear(np.eye(n) + eps * rng.normal(size=(n, n)), a)
+    params = ch.MetricParams(cap=20_000)
+    assert ch.chabauty_distance(a, b, params) == _sum_of_gaps(a, b, params)
 
 
 def test_near_tie_voronoi_walk_is_a_refusal():
