@@ -26,6 +26,12 @@ once; its one budget is the number of nodes a level may hold, summed
 over the targets of one call.  ``enumerate_ball`` sorts a ball's points
 by ``_ball_order``, (norm, lexicographic): the order ``points_in_ball``
 promises and the successive norms break ties by.
+
+The empty lattice is ordinary input, answered here and nowhere else: at
+rank 0 ``closest`` returns the targets' norms and zero-width
+coefficients, and ``successive_norms`` no norms; on empty generators
+(none, or all of width 0) ``basis_from_generators`` returns no basis
+rows and makes every generator a relation.
 """
 from __future__ import annotations
 
@@ -220,6 +226,9 @@ def basis_from_generators(gens, zero_tol: float):
         raise ValueError("zero_tol must be positive")
     g = np.atleast_2d(np.asarray(gens, dtype=float))
     m, n = g.shape
+    if not g.size:  # no generators, or all of them relations in R^0
+        return (np.zeros((0, n)), np.zeros((0, m), np.int64),
+                np.eye(m, dtype=np.int64))
     sq = np.einsum("ij,ij->i", g, g)
     w = min(zero_tol, _NOISE * float(np.sqrt(sq.sum()))) or zero_tol
     w = 2.0 ** np.floor(np.log2(w))
@@ -382,7 +391,10 @@ def _voronoi_walk(normals, rhs):
 
 class LatticeSolver:
     """A fixed lattice basis, its Gram-Schmidt data, and the queries on
-    them.  A lattice of rank 0 is the origin alone.
+    them.  A lattice of rank 0 is the origin alone: ``closest`` returns
+    the norms of the targets with (m, 0) coefficients, and
+    ``successive_norms`` an empty array with (0, n) realizers, both in
+    closed form; its ``ball`` holds the origin.
 
     The basis is taken as given; a reduced one, a canonical
     ``discrete_basis`` or one from ``basis_from_generators``, keeps the
@@ -442,12 +454,14 @@ class LatticeSolver:
         Raises EnumerationBudgetExceeded when one level of the search
         would hold more than ``cap`` nodes over all targets."""
         y = np.atleast_2d(np.asarray(targets, dtype=float))
+        if not self.rank:  # the origin alone
+            return np.linalg.norm(y, axis=1), np.zeros((len(y), 0), np.int64)
         coeffs = self.nearest_plane(y)
         diff = coeffs @ self.basis - y
         d2 = np.einsum("ij,ij->i", diff, diff)
         gs = (diff @ self._bstar.T) / self._bstar_sq
         resid2 = (gs * gs) @ self._bstar_sq
-        shortest = self._bstar_sq.min(initial=np.inf)  # inf at rank 0
+        shortest = self._bstar_sq.min()
         todo = np.flatnonzero(resid2 >= 0.25 * shortest)
         if todo.size:
             centres = (y.take(todo, axis=0) @ self._bstar.T) / self._bstar_sq
@@ -502,6 +516,8 @@ class LatticeSolver:
         accepted directions is not ``negligible`` next to its norm and
         projects its direction out of the vectors after it.  The class
         vectors generate the lattice, so each step finds one."""
+        if not self.rank:  # no norms, and no argmax over width 0
+            return np.zeros(0), np.zeros(self.basis.shape)
         pts = self.class_vectors() @ self.basis
         sizes = np.linalg.norm(pts, axis=1)
         keys, size_keys = _ball_keys(pts, sizes)

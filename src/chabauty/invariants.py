@@ -64,10 +64,8 @@ def _generation_data(group: ClosedSubgroup):
     n, p = group.ambient_dim, group.continuous_dim
     out = np.full(n, np.inf)
     out[:p] = 0.0
-    realizers = np.zeros((0, n))
-    if group.discrete_rank:
-        sizes, realizers = _solver(group).successive_norms()
-        out[p:p + len(sizes)] = sizes
+    sizes, realizers = _solver(group).successive_norms()
+    out[p:p + len(sizes)] = sizes
     out.setflags(write=False)
     realizers.setflags(write=False)
     return out, realizers
@@ -81,9 +79,7 @@ def norms(group: ClosedSubgroup) -> np.ndarray:
 def systole(group: ClosedSubgroup) -> float:
     """The first norm: length of the shortest nonzero element (inf for
     the trivial group, 0 when there is a continuous direction)."""
-    if group.ambient_dim == 0:
-        return math.inf
-    return float(norms(group)[0])
+    return float(norms(group).min(initial=math.inf))
 
 
 def covolume(group: ClosedSubgroup):
@@ -107,8 +103,6 @@ def covolume(group: ClosedSubgroup):
 def discrete_covolume(group: ClosedSubgroup) -> float:
     """Volume of the fundamental cell of the discrete part, any ambient
     dimension.  Plumbing helper, not the planar covolume above."""
-    if group.discrete_rank == 0:
-        return 1.0
     g = group.discrete_basis @ group.discrete_basis.T
     return float(np.sqrt(max(np.linalg.det(g), 0.0)))
 

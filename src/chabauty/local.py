@@ -356,28 +356,23 @@ def cone_map(t: float, lin: LinearDecomposition,
     """
     if not 0 <= t < 2:
         raise OutOfRange("the cone parameter must lie in [0, 2)")
-    p, q = lin.block_type
-    fine = scale(loc.fine_part, t)
-    if t == 0:
-        m = 0
-        coarse = np.zeros((0, loc.coarse_basis.shape[1]))
-        off_fine = np.zeros((0, p))
-        off_med = np.zeros((0, q))
-        med_off = np.zeros((q, p))
-    else:
-        coarse = loc.coarse_basis / t
-        off_fine = t * loc.coarse_offset_fine
-        off_med = loc.coarse_offset_medium.copy()
-        med_off = t * loc.medium_offset
-    return LocalDecomposition(fine, loc.medium_basis.copy(), coarse,
-                              med_off, off_fine, off_med)
+    m = loc.coarse_count if t else 0  # the apex keeps no coarse row
+    return LocalDecomposition(scale(loc.fine_part, t),
+                              loc.medium_basis.copy(),
+                              loc.coarse_basis[:m] / t,
+                              t * loc.medium_offset,
+                              t * loc.coarse_offset_fine[:m],
+                              loc.coarse_offset_medium[:m].copy())
 
 
 def bundle_projection(lin: LinearDecomposition, loc: LocalDecomposition,
                       delta: float, require_link: bool = True):
     """Project a link point to its normalized fine and coarse shapes
     plus the position along the join: (fine normalized to p-th norm 1,
-    coarse normalized to first norm 1, lambda in [0, 1])."""
+    coarse normalized to first norm 1, lambda in [0, 1]).  Raises
+    ValueError unless the scale delta lies in (0, 1)."""
+    if not 0 < delta < 1:
+        raise ValueError("the scale must lie in (0, 1)")
     p, q = lin.block_type
     n = lin.ambient_dim
     if (p, q) in ((0, 0), (n, 0)):
@@ -386,7 +381,7 @@ def bundle_projection(lin: LinearDecomposition, loc: LocalDecomposition,
             "plain cones, not bundles")
     np_fine, n1c, budget = _norm_budget(loc.fine_part, loc.coarse_basis)
     if require_link:
-        if abs(budget - delta / 2.0) > _LINK_TOL * max(1.0, delta):
+        if abs(budget - delta / 2.0) > _LINK_TOL:
             raise NotInNeighborhood("the point is not on the link")
     fine_norm = scale(loc.fine_part, np.inf) if np_fine == 0 \
         else scale(loc.fine_part, 1.0 / np_fine)

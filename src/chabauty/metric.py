@@ -169,14 +169,11 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     if min(half @ lips, ub_cap, half @ row_norms, inside) <= lo + grid_eff:
         return lo
     cell_lo, cell_hi, ub = -half[None], half[None], np.array([math.inf])
-    stale = 0  # dropped since a round last took every open cell; the
-    # budget error counts them as open, as a heap keeps them until popped
     while lo < stop:
         rest = ub > lo + grid_eff  # the open cells
         n_open = int(np.count_nonzero(rest))
         if not n_open:
             break
-        stale = stale + ub.size - n_open if n_open >= 256 else 0
         pick = _top(ub, min(n_open, 256))
         rest[pick] = False
         blo, bhi = cell_lo.take(pick, axis=0), cell_hi.take(pick, axis=0)
@@ -197,7 +194,7 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
             raise EnumerationBudgetExceeded(
                 f"distance evaluation budget exhausted: {evals} evaluations "
                 f"over the cap of {budget} (MetricParams.cap), "
-                f"{n_open + stale} open cells left, incumbent "
+                f"{n_open} open cells left, incumbent "
                 f"{lo:.6g}, best open bound {ub[pick[0]]:.6g}")
         sizes = np.linalg.norm(xs, axis=1)
         lo = float(np.max(vals[sizes <= inside], initial=lo))

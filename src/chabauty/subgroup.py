@@ -34,9 +34,10 @@ class ClosedSubgroup:
     ``continuous_basis`` has orthonormal rows; ``discrete_basis`` rows are
     independent, orthogonal to the continuous part and LLL-reduced to a
     fixed point, which the solver takes as given: ``make_subgroup`` builds
-    them; a hand-built instance must keep these invariants.  Instances
-    are immutable and shareable across threads; what is derived from
-    them is kept on them by ``_kept``.
+    them; a hand-built instance must keep these invariants, and a row
+    of another length than ``ambient_dim`` raises DimensionMismatch.
+    Instances are immutable and shareable across threads; what is
+    derived from them is kept on them by ``_kept``.
     """
 
     ambient_dim: int
@@ -44,18 +45,14 @@ class ClosedSubgroup:
     discrete_basis: np.ndarray
 
     def __post_init__(self):
-        def shaped(arr):
-            a = np.asarray(arr, dtype=float)
-            if a.size == 0:
-                return np.zeros((0, self.ambient_dim))
-            return a.reshape(-1, self.ambient_dim)
-
-        cb = shaped(self.continuous_basis)
-        db = shaped(self.discrete_basis)
-        if cb.shape[0] + db.shape[0] > self.ambient_dim:
+        # read-only views: a caller's own array stays writable
+        n = self.ambient_dim
+        cb = _as_rows(self.continuous_basis, n, "continuous basis").view()
+        db = _as_rows(self.discrete_basis, n, "discrete basis").view()
+        if cb.shape[0] + db.shape[0] > n:
             raise DimensionMismatch(
                 f"type ({cb.shape[0]},{db.shape[0]}) does not fit in "
-                f"dimension {self.ambient_dim}")
+                f"dimension {n}")
         cb.setflags(write=False)
         db.setflags(write=False)
         object.__setattr__(self, "continuous_basis", cb)
@@ -92,7 +89,9 @@ def _representable(rows: np.ndarray) -> bool:
 def _as_rows(vectors, n: int, what: str) -> np.ndarray:
     if vectors is None:
         return np.zeros((0, n))
-    arr = np.asarray(list(vectors), dtype=float)
+    if not isinstance(vectors, np.ndarray):
+        vectors = list(vectors)  # an iterator of vectors, too
+    arr = np.asarray(vectors, dtype=float)
     if arr.size == 0:
         return np.zeros((0, n))
     if arr.ndim == 1:
@@ -195,8 +194,6 @@ def _distances(group: ClosedSubgroup, rows: np.ndarray) -> np.ndarray:
     cb = group.continuous_basis
     if cb.shape[0]:
         x = x - (x @ cb.T) @ cb
-    if not group.discrete_rank:
-        return np.linalg.norm(x, axis=1)
     return _solver(group).closest(x)[0]
 
 
@@ -212,10 +209,8 @@ def nearest_point(group: ClosedSubgroup, x) -> np.ndarray:
         raise DimensionMismatch("point has wrong length")
     cb = group.continuous_basis
     near = (rows @ cb.T) @ cb
-    if group.discrete_rank:
-        solver = _solver(group)
-        _, coeffs = solver.closest(rows - near)
-        near = near + coeffs @ solver.basis
+    solver = _solver(group)
+    near = near + solver.closest(rows - near)[1] @ solver.basis
     return near.reshape(x.shape)
 
 

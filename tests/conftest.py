@@ -143,7 +143,9 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
     whenever it lies outside it, and a cell's reach bound is capped at
     that radius instead of 0.45 grid beyond it.  The old code admitted
     points up to 0.45 grid outside, where a lattice point can raise the
-    gap."""
+    gap.  The budget error counts as open only the cells that can still
+    beat the incumbent by more than the grid, not every cell left on
+    the heap."""
     qi = 0 if int_basis is None else int_basis.shape[0]
     pc = 0 if cont_rows is None else cont_rows.shape[0]
     cont_vlips = np.full(pc, cont_lip)
@@ -192,10 +194,12 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
         vals = f_batch(xs)
         evals += len(batch)
         if evals > budget:
+            # cells the heap still holds that could beat the incumbent
+            open_left = sum(-c[0] > lo + grid_eff for c in heap)
             raise EnumerationBudgetExceeded(
                 f"distance evaluation budget exhausted: {evals} evaluations "
                 f"over the cap of {budget} (MetricParams.cap), "
-                f"{len(heap) + len(batch)} open cells left, incumbent "
+                f"{open_left + len(batch)} open cells left, incumbent "
                 f"{lo:.6g}, best open bound {top_ub:.6g}")
         sizes = np.linalg.norm(xs, axis=1)
         lo = float(np.max(vals[sizes <= inside], initial=lo))

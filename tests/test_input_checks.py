@@ -82,6 +82,14 @@ CASES = [
     ("subgroup-rows-past-dimension",
      lambda: ch.ClosedSubgroup(2, [[1, 0]], [[0, 1], [1, 1]]),
      DimensionMismatch, "type (1,2) does not fit in dimension 2"),
+    ("subgroup-discrete-basis-width",
+     lambda: ch.ClosedSubgroup(2, [], [[1, 0, 0, 1]]),
+     DimensionMismatch,
+     "discrete basis must be vectors of length 2, got shape (1, 4)"),
+    ("subgroup-continuous-basis-width",
+     lambda: ch.ClosedSubgroup(2, np.zeros((1, 4)), []),
+     DimensionMismatch,
+     "continuous basis must be vectors of length 2, got shape (1, 4)"),
     ("subgroup-standard-type",
      lambda: ch.standard_subgroup(2, 2, 1),
      InvalidType, "type (2,1) does not fit in dimension 2"),
@@ -138,6 +146,15 @@ CASES = [
     ("local-fiber-type",
      lambda: ch.fiber_dimension(2, (3, 0), (0, 0)),
      InvalidPair, "type (3,0) does not fit in dimension 2"),
+    ("local-bundle-zero-scale",
+     lambda: ch.bundle_projection(*decomposed(), 0.0),
+     ValueError, "the scale must lie in (0, 1)"),
+    ("local-bundle-nan-scale",
+     lambda: ch.bundle_projection(*decomposed(), math.nan),
+     ValueError, "the scale must lie in (0, 1)"),
+    ("local-bundle-negative-scale",
+     lambda: ch.bundle_projection(*decomposed(), -1.0),
+     ValueError, "the scale must lie in (0, 1)"),
     ("local-reconstruct-fine-dimension",
      lambda: reconstruct_with(fine_part=ch.standard_subgroup(2, 2, 0)),
      InconsistentData, "fine part has the wrong ambient dimension"),

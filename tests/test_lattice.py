@@ -233,40 +233,63 @@ def test_generators_below_zero_tol_are_unit_relations():
     assert sorted(np.abs(relations).tolist()) == [[0, 1], [1, 0]]
 
 
-def rank0_solver():
-    return _lattice.LatticeSolver(np.zeros((0, 3)))
+def rank0_solver(width=3):
+    return _lattice.LatticeSolver(np.zeros((0, width)))
 
 
 def from_zeros(shape):
     return _lattice.basis_from_generators(np.zeros(shape), 1e-6)
 
 
+def apex():
+    """The arrays of ``cone_map(0, ...)`` at a point of the (1,1) chart
+    of R^3 with a fine lattice, a medium offset and a coarse row."""
+    base = ch.standard_subgroup(3, 1, 1)
+    g = ch.make_subgroup(3, None, [(0.025, 0, 0), (0.01, 1, 0), (0, 0, 40)])
+    loc = ch.cone_map(0.0, *ch.local_decomposition(g, base, 0.1))
+    return (loc.fine_part.continuous_basis, loc.fine_part.discrete_basis,
+            loc.coarse_basis, loc.medium_offset, loc.coarse_offset_fine,
+            loc.coarse_offset_medium)
+
+
+INT0 = np.zeros((0, 0), np.int64)
+
+
 @pytest.mark.parametrize("call, expected", [
     pytest.param(lambda: rank0_solver().closest([[3.0, 4.0, 0.0], [0, 0, 0]]),
-                 ([5.0, 0.0], np.zeros((2, 0))), id="closest-rank-0"),
-    pytest.param(lambda: (rank0_solver().class_vectors(),),
-                 (np.zeros((0, 0)),), id="class-vectors-rank-0"),
-    pytest.param(lambda: from_zeros((0, 3)),
-                 (np.zeros((0, 3)), np.zeros((0, 0)), np.zeros((0, 0))),
+                 ([5.0, 0.0], np.zeros((2, 0), np.int64)),
+                 id="closest-rank-0"),
+    pytest.param(lambda: (rank0_solver().class_vectors(),), (INT0,),
+                 id="class-vectors-rank-0"),
+    pytest.param(lambda: rank0_solver().successive_norms(),
+                 (np.zeros(0), np.zeros((0, 3))), id="norms-rank-0"),
+    pytest.param(lambda: rank0_solver(0).successive_norms(),
+                 (np.zeros(0), np.zeros((0, 0))), id="norms-rank-0-width-0"),
+    pytest.param(lambda: from_zeros((0, 3)), (np.zeros((0, 3)), INT0, INT0),
                  id="no-generators"),
     pytest.param(lambda: from_zeros((2, 0)),
-                 (np.zeros((0, 0)), np.zeros((0, 2)), np.eye(2)),
+                 (np.zeros((0, 0)), np.zeros((0, 2), np.int64),
+                  np.eye(2, dtype=np.int64)),
                  id="generators-of-width-0"),
-    pytest.param(lambda: _lattice.LatticeSolver(np.zeros((0, 2))).ball(1.0),
-                 (np.zeros((1, 2)), np.zeros((1, 0)), np.zeros(1)),
+    pytest.param(lambda: rank0_solver(2).ball(1.0),
+                 (np.zeros((1, 2)), np.zeros((1, 0), np.int64), np.zeros(1)),
                  id="ball-rank-0"),
     pytest.param(lambda: (_lattice.lll_reduce(np.zeros((0, 3))),),
                  (np.zeros((0, 3)),), id="lll-no-rows"),
     pytest.param(lambda: (_lattice.lll_reduce([[3.0, 4.0]]),),
                  ([[3.0, 4.0]],), id="lll-one-row"),
+    pytest.param(apex, ([[1.0]], np.zeros((0, 1)), np.zeros((0, 1)), [[0.0]],
+                        np.zeros((0, 1)), np.zeros((0, 1))),
+                 id="cone-map-apex"),
 ])
 def test_empty_input_is_ordinary_input(call, expected):
-    # a rank-0 lattice is the origin alone, and zero-width generators
-    # are all relations
+    # a rank-0 lattice is the origin alone, zero-width generators are
+    # all relations, and the apex of a cone keeps no coarse row
     got = call()
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert np.shape(a) == np.shape(b)
+        assert np.asarray(a).dtype == np.asarray(b).dtype
         np.testing.assert_array_equal(a, b)
 
 

@@ -318,6 +318,17 @@ def test_budget_error_states_its_numbers():
         assert part in message
 
 
+def test_budget_error_counts_only_cells_that_can_beat_the_incumbent():
+    # the table still holds 1,084 cells when the budget runs out, but
+    # 54 of them are bounded below the incumbent plus the grid
+    a = ch.random_subgroup(3, (1, 2), seed=0)
+    b = ch.random_subgroup(3, (0, 2), seed=100)
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=r"evaluations over the cap of 3000 .*, 1030 "
+                             r"open cells left, incumbent 15\.9256,"):
+        ch.hausdorff_gap(a, b, 16.0, ch.MetricParams(cap=3000))
+
+
 @pytest.mark.parametrize("n, source, target", [
     (2, (0, 2), t) for t in ((1, 0), (0, 1), (1, 1), (0, 0))] + [
     (3, s, t) for s in ((0, 3), (0, 2))
