@@ -23,9 +23,10 @@ and the Voronoi cell).  Balls and closest vectors share one
 lattice-point search, ``_fincke_pohst`` (Fincke & Pohst, Math. Comp.
 1985), breadth-first so that numpy treats every node of a level at
 once; its one budget is the number of nodes a level may hold, summed
-over the targets of one call.  ``enumerate_ball`` sorts a ball's points
-by ``_ball_order``, (norm, lexicographic): the order ``points_in_ball``
-promises and the successive norms break ties by.
+over the targets of one call: ``NODE_CAP``, which a ball may lower.
+``enumerate_ball`` sorts a ball's points by ``_ball_order``, (norm,
+lexicographic): the order ``points_in_ball`` promises and the successive
+norms break ties by.
 
 The empty lattice is ordinary input, answered here and nowhere else: at
 rank 0 ``closest`` returns the targets' norms and zero-width
@@ -48,6 +49,7 @@ _DELTA = 0.75
 _TIE = 0.5 + 1e-9  # |mu| up to which a row counts as size-reduced
 _EXACT = 2.0 ** 52
 _NOISE = 64 * np.finfo(float).eps  # coefficient weight per generator norm
+NODE_CAP = 1_000_000  # nodes on one level of a lattice search, by default
 _WALK_BUDGET = 2_000_000  # ratio tests on one level of the Voronoi walk
 _JITTER_SEED = 20240817  # fixes the perturbation of that walk
 
@@ -185,7 +187,7 @@ def lll_reduce(basis) -> np.ndarray:
 def canonical_rows(basis) -> np.ndarray:
     """Sign-normalized representative of a reduced basis: in each row,
     the first coordinate that is not ``negligible`` next to the row is
-    made positive.
+    made positive; a zero row, led by its +-0, is kept.
 
     Only signs are touched.  Reordering rows of an LLL-reduced basis
     can break the reduction (the exchange condition constrains
@@ -193,15 +195,9 @@ def canonical_rows(basis) -> np.ndarray:
     non-idempotent; sign flips preserve it.
     """
     b = np.array(basis, dtype=float)
-    for row in b:
-        coords = row.tolist()
-        size = math.hypot(*coords)
-        for x in coords:
-            if not negligible(abs(x), size):
-                if x < 0:
-                    row *= -1.0
-                break
-    return b
+    small = negligible(np.abs(b), np.hypot.reduce(b, axis=1)[:, None])
+    lead = b[np.arange(b.shape[0]), small.argmin(axis=1)]
+    return np.negative(b, out=b, where=(lead < 0)[:, None])
 
 
 def basis_from_generators(gens, zero_tol: float):
@@ -268,7 +264,7 @@ def basis_from_generators(gens, zero_tol: float):
     return basis, coeffs, relations
 
 
-def _fincke_pohst(mu, bstar_sq, centres, bound2, cap=1_000_000):
+def _fincke_pohst(mu, bstar_sq, centres, bound2, cap):
     """Breadth-first Fincke-Pohst search in Gram-Schmidt coordinates.
 
     Row t of ``centres`` is a target in Gram-Schmidt coordinates and
@@ -323,7 +319,7 @@ def _ball_order(keys: np.ndarray, size_keys: np.ndarray) -> np.ndarray:
     return np.lexsort([*keys.T[::-1], size_keys])
 
 
-def enumerate_ball(basis: np.ndarray, radius: float, cap: int = 1_000_000):
+def enumerate_ball(basis: np.ndarray, radius: float, cap: int = NODE_CAP):
     """The points of ``LatticeSolver(basis).ball`` with their
     coefficients, in ``_ball_order``."""
     pts, cs = LatticeSolver(basis).ball(radius, cap)[:2]
@@ -433,7 +429,7 @@ class LatticeSolver:
             y -= np.outer(c, self.basis[i])
         return coeffs
 
-    def ball(self, radius: float, cap: int = 1_000_000):
+    def ball(self, radius: float, cap: int = NODE_CAP):
         """``(points, coeffs, sq_norms)`` of the lattice points of norm
         at most ``radius * BALL``, the origin included, in search order:
         for a maximum or a minimum over them.  Raises
@@ -449,10 +445,10 @@ class LatticeSolver:
         keep = sq <= rcut2
         return pts.compress(keep, axis=0), cs.compress(keep, axis=0), sq[keep]
 
-    def closest(self, targets: np.ndarray, cap: int = 1_000_000):
+    def closest(self, targets: np.ndarray):
         """Exact closest vectors: returns (distances, coefficients).
         Raises EnumerationBudgetExceeded when one level of the search
-        would hold more than ``cap`` nodes over all targets."""
+        would hold more than ``NODE_CAP`` nodes over all targets."""
         y = np.atleast_2d(np.asarray(targets, dtype=float))
         if not self.rank:  # the origin alone
             return np.linalg.norm(y, axis=1), np.zeros((len(y), 0), np.int64)
@@ -466,7 +462,7 @@ class LatticeSolver:
         if todo.size:
             centres = (y.take(todo, axis=0) @ self._bstar.T) / self._bstar_sq
             owner, cand = _fincke_pohst(self._mu, self._bstar_sq, centres,
-                                        resid2[todo], cap)
+                                        resid2[todo], NODE_CAP)
             cdiff = cand @ self.basis - y.take(todo[owner], axis=0)
             cd2 = np.einsum("ij,ij->i", cdiff, cdiff)
             order = np.lexsort((cd2, owner))
@@ -477,7 +473,7 @@ class LatticeSolver:
             coeffs[rows] = cand.take(first, axis=0)
         return np.sqrt(d2), coeffs
 
-    def class_vectors(self, cap: int = 1_000_000) -> np.ndarray:
+    def class_vectors(self) -> np.ndarray:
         """Integer coefficients in ``basis`` of the shortest vector of
         each nonzero class c of L/2L, one read-only row per class in
         binary order: c - 2 closest(c B / 2).  Those alone in their class
@@ -485,20 +481,20 @@ class LatticeSolver:
         SPLAG, ch. 2), and every successive norm is the norm of one of
         them.
 
-        One batched ``closest`` finds them, with ``cap`` nodes on a
-        level over its 2^q - 1 targets; they are kept once found.  Over
-        that budget, or at once when the targets alone outnumber ``cap``,
+        One batched ``closest`` finds them, with ``NODE_CAP`` nodes on
+        a level over its 2^q - 1 targets; they are kept once found.  Over
+        that budget, or at once when the targets alone outnumber the cap,
         raises EnumerationBudgetExceeded naming the rank and the cap.
         """
         if self._classes is None:
             q = self.rank
             count = 2 ** q - 1
             try:
-                if count > cap:
+                if count > NODE_CAP:
                     raise EnumerationBudgetExceeded(
-                        f"{count} targets, over the cap of {cap}")
+                        f"{count} targets, over the cap of {NODE_CAP}")
                 classes = (np.arange(1, 2 ** q)[:, None] >> np.arange(q)) & 1
-                near = self.closest(0.5 * classes @ self.basis, cap)[1]
+                near = self.closest(0.5 * classes @ self.basis)[1]
             except EnumerationBudgetExceeded as exc:
                 raise EnumerationBudgetExceeded(
                     f"shortest vectors of the {count} classes of L/2L at "

@@ -29,18 +29,18 @@ no cell's bound exceeds R slope.  The incumbent starts at the largest
 distance of the source basis vectors inside the ball and of probes,
 source points along the direction where that majorant is largest,
 which depend on the radius alone.  The first round's one cell, the
-whole box around the origin where the distance is 0, is bounded in
-closed form: each coefficient bound times the lesser of its vector's
-length and distance to the target, plus the continuous leak over the
-ball, capped at R slope, so near-identical pairs are certified with no
-evaluation.  Towards a full-rank target no cell's bound exceeds mu,
-which bounds every distance to it, so the search ends as soon as the
-incumbent comes within the grid of mu.  The open cells are the
-rows of one table, lattice coefficients and continuous coordinates
-alike, and numpy bounds and splits 256 of them at a time, highest
-bound first; only points inside the ball count.  The returned value g
-obeys g_true - grid <= g <= g_true + grid/2, the same contract as grid
-sampling of the continuous directions.
+whole box around the origin where the distance is 0, starts with the
+bound an evaluation there gives: each coefficient bound times the
+lesser of its vector's length and distance to the target, plus the
+continuous leak over the ball, capped at R slope, so near-identical
+pairs are certified with no evaluation.  Towards a full-rank target no
+cell's bound exceeds mu, which bounds every distance to it, so the
+search ends as soon as the incumbent comes within the grid of mu.
+The open cells are the rows of one table, lattice coefficients and
+continuous coordinates alike, and numpy bounds and splits 256 of them
+at a time, highest bound first; only points inside the ball count.
+The returned value g obeys g_true - grid <= g <= g_true + grid/2, the
+same contract as grid sampling of the continuous directions.
 """
 from __future__ import annotations
 
@@ -135,9 +135,9 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     linear majorant R slope, or the covering radius mu of a full-rank
     target's lattice part when that is less.
     ``lo`` is the starting incumbent, a value of f attained inside the
-    ball.  The first round's one cell is the whole box, centred at the
-    origin where f is 0: when its bound is within 0.45 grid of ``lo``,
-    the search returns ``lo`` with no evaluation, as that round would.
+    ball.  The one cell of the first round, the whole box centred at the
+    origin where f is 0, starts with the bound an evaluation there gives:
+    within 0.45 grid of ``lo``, no cell opens and f is never evaluated.
     Returns an attained value lo such that sup <= lo + grid (unless
     ``stop_above`` fired first, in which case lo >= stop_above).
 
@@ -164,11 +164,9 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
     stop = math.inf if stop_above is None else stop_above
     evals = 0
     half = np.concatenate([int_bounds, np.full(pc, float(ball_radius))])
-    # the first round's one cell, the whole box, centred at the origin
-    # where f is 0: its bound in closed form
-    if min(half @ lips, ub_cap, half @ row_norms, inside) <= lo + grid_eff:
-        return lo
-    cell_lo, cell_hi, ub = -half[None], half[None], np.array([math.inf])
+    # one cell, the whole box, with the bound f(0) = 0 gives at its centre
+    cell_lo, cell_hi = -half[None], half[None]
+    ub = np.array([min(half @ lips, ub_cap, half @ row_norms, inside)])
     while lo < stop:
         rest = ub > lo + grid_eff  # the open cells
         n_open = int(np.count_nonzero(rest))

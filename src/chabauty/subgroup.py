@@ -81,9 +81,9 @@ class ClosedSubgroup:
 
 def _representable(rows: np.ndarray) -> bool:
     """Are the squared norms of the nonzero rows finite normal floats?"""
-    sq = np.einsum("ij,ij->i", rows, rows).tolist()
-    return all(2.0 ** -1022 <= s < math.inf or not row.any()
-               for s, row in zip(sq, rows))
+    sq = np.einsum("ij,ij->i", rows, rows)
+    ok = (2.0 ** -1022 <= sq) & (sq < math.inf)
+    return bool(ok.all() or not rows[~ok].any())  # zero rows pass
 
 
 def _as_rows(vectors, n: int, what: str) -> np.ndarray:
@@ -91,7 +91,13 @@ def _as_rows(vectors, n: int, what: str) -> np.ndarray:
         return np.zeros((0, n))
     if not isinstance(vectors, np.ndarray):
         vectors = list(vectors)  # an iterator of vectors, too
-    arr = np.asarray(vectors, dtype=float)
+    try:
+        arr = np.asarray(vectors, dtype=float)
+    except ValueError:  # rows of unequal length, or an entry not a number
+        if len({np.shape(v) for v in vectors}) < 2:
+            raise
+        raise DimensionMismatch(f"{what} must be vectors of length {n}, "
+                                "got rows of unequal length") from None
     if arr.size == 0:
         return np.zeros((0, n))
     if arr.ndim == 1:
@@ -151,7 +157,7 @@ def type_of(group: ClosedSubgroup) -> GroupType:
 
 
 def points_in_ball(group: ClosedSubgroup, radius: float,
-                   cap: int = 1_000_000) -> np.ndarray:
+                   cap: int = _lattice.NODE_CAP) -> np.ndarray:
     """Discrete-part lattice points of norm <= radius, exactly.
 
     The continuous part is reported separately by the basis; the points
@@ -164,7 +170,7 @@ def points_in_ball(group: ClosedSubgroup, radius: float,
 
 
 def points_in_ball_with_coefficients(group: ClosedSubgroup, radius: float,
-                                     cap: int = 1_000_000):
+                                     cap: int = _lattice.NODE_CAP):
     return _lattice.enumerate_ball(group.discrete_basis, radius, cap)
 
 

@@ -267,6 +267,22 @@ def reference_certified_sup(f_batch, int_basis, int_lips, int_bounds,
     return lo
 
 
+def reference_canonical_rows(basis):
+    """The sign rule of ``_lattice.canonical_rows`` as a loop over rows
+    and coordinates: the first coordinate above 1e-9 times the row's
+    norm is made positive."""
+    b = np.array(basis, dtype=float)
+    for row in b:
+        coords = row.tolist()
+        size = math.hypot(*coords)
+        for x in coords:
+            if abs(x) > 1e-9 * size:
+                if x < 0:
+                    row *= -1.0
+                break
+    return b
+
+
 def brute_norms(group):
     """Oracle for the successive norms: full sorted enumeration up to
     one past the largest finite norm, rank via singular values of the

@@ -1,16 +1,19 @@
 """Input checks across the package, one row each: the call, the error
 type and the exact message."""
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chabauty as ch
-from chabauty import cli
+from chabauty import cli, errors
 from chabauty.errors import (DimensionMismatch, FlagsTooFar,
                              InconsistentData, InvalidPair, InvalidType,
                              NonClosedInput, NonFiniteInput, NotInC1,
@@ -37,8 +40,22 @@ def skewed_flag():
                                   np.array([[math.cos(b), math.sin(b)]]))
 
 
+def cli_info(data):
+    """Run ``chabauty info`` on a file holding ``data`` and raise the
+    error object it prints, as the package's error of that kind."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.json"
+        path.write_text(json.dumps(data))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(["info", str(path)]) == 1
+    error = json.loads(out.getvalue())["error"]
+    raise getattr(errors, error["kind"], ValueError)(error["message"])
+
+
 UNDERFLOW = ("generators must have finite squared norms, normal floats "
              "unless zero")
+RAGGED = "must be vectors of length 2, got rows of unequal length"
 
 CASES = [
     # metric
@@ -90,6 +107,18 @@ CASES = [
      lambda: ch.ClosedSubgroup(2, np.zeros((1, 4)), []),
      DimensionMismatch,
      "continuous basis must be vectors of length 2, got shape (1, 4)"),
+    ("subgroup-ragged-generators",
+     lambda: ch.make_subgroup(2, None, [(1, 0), (1,)]),
+     DimensionMismatch, f"discrete generators {RAGGED}"),
+    ("subgroup-ragged-basis",
+     lambda: ch.ClosedSubgroup(2, [], [[1, 0], [1]]),
+     DimensionMismatch, f"discrete basis {RAGGED}"),
+    ("subgroup-generator-not-a-number",
+     lambda: ch.make_subgroup(2, None, [("a", 0), (1, 0)]),
+     ValueError, "could not convert string to float: 'a'"),
+    ("cli-ragged-basis",
+     lambda: cli_info({"ambient_dim": 2, "discrete_basis": [[1, 0], [1]]}),
+     DimensionMismatch, f"discrete generators {RAGGED}"),
     ("subgroup-standard-type",
      lambda: ch.standard_subgroup(2, 2, 1),
      InvalidType, "type (2,1) does not fit in dimension 2"),

@@ -223,11 +223,13 @@ def test_generation_data_repeats_read_only():
     np.testing.assert_array_equal(ch.norms(g), [1.0, math.hypot(0.5, 0.9)])
 
 
-def test_generation_data_budget_failure_not_cached():
+def test_generation_data_budget_failure_not_cached(monkeypatch):
     g = ch.standard_subgroup(3, 0, 3)  # 7 classes of L/2L, over the cap
-    for _ in range(2):
-        with pytest.raises(EnumerationBudgetExceeded):
-            subgroup._solver(g).class_vectors(cap=5)
+    with monkeypatch.context() as patch:
+        patch.setattr(_lattice, "NODE_CAP", 5)
+        for _ in range(2):
+            with pytest.raises(EnumerationBudgetExceeded):
+                subgroup._solver(g).class_vectors()
     np.testing.assert_allclose(ch.norms(g), [1.0, 1.0, 1.0])
 
 

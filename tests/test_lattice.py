@@ -14,7 +14,8 @@ import chabauty as ch
 from chabauty import _lattice
 from chabauty.errors import EnumerationBudgetExceeded
 
-from conftest import brute_closest, brute_covering_radius, random_group
+from conftest import (brute_closest, brute_covering_radius, random_group,
+                      reference_canonical_rows)
 
 
 def skewed_basis(rng, n):
@@ -59,6 +60,35 @@ def test_search_budget_names_nodes_and_cap():
     message = str(err.value)
     assert re.search(rf"\b{nodes}\b", message)
     assert re.search(r"\b1000\b", message)
+
+
+def test_canonical_rows_matches_the_row_loop():
+    # rows at scales far from 1, with zero rows and coordinates shrunk
+    # next to the threshold of negligible, lead with the same sign
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        n = int(rng.integers(1, 7))
+        b = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+        b *= 10.0 ** rng.uniform(-100, 100)
+        small = rng.random(b.shape) < 0.3
+        b[small] *= 10.0 ** rng.uniform(-12, -7, size=small.sum())
+        b[rng.random(b.shape[0]) < 0.1] = 0.0
+        assert (_lattice.canonical_rows(b).tobytes()
+                == reference_canonical_rows(b).tobytes())
+
+
+def test_closest_and_class_query_read_the_node_cap(monkeypatch):
+    # neither takes a budget of its own: both read _lattice.NODE_CAP
+    monkeypatch.setattr(_lattice, "NODE_CAP", 5)
+    # the deep hole of Z^3 is 8 points away on the last level
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=r"^lattice search needs 8 nodes on one level, "
+                             r"over the cap of 5$"):
+        _lattice.LatticeSolver(np.eye(3)).closest([[0.5, 0.5, 0.5]])
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=r"^shortest vectors of the 7 classes of L/2L at "
+                             r"rank 3: 7 targets, over the cap of 5$"):
+        _lattice.LatticeSolver(np.eye(3)).class_vectors()
 
 
 def exact_det(rows):
