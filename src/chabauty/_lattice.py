@@ -15,18 +15,18 @@ numeric failure raises EnumerationBudgetExceeded with its numbers.  Its
 output is a fixed point, which ``LatticeSolver`` takes as given.
 
 A ``LatticeSolver`` holds the Gram-Schmidt data of one basis and every
-query on it: nearest plane (Babai, Combinatorica 6, 1986), the points
-of a ball in search order (``ball``, for a maximum or a minimum over
-them), closest vectors, and the shortest vector of each class of L/2L
-in one batched query (``class_vectors``, read by the successive norms
-and the Voronoi cell).  Balls and closest vectors share one
+query on it: nearest plane (Babai, Combinatorica 6, 1986), one point
+of each pair +-x in a ball, in search order (``ball``, for a maximum
+or a minimum), closest vectors, and the shortest vector of each class
+of L/2L in one batched query (``class_vectors``, read by the successive
+norms and the Voronoi cell).  Balls and closest vectors share one
 lattice-point search, ``_fincke_pohst`` (Fincke & Pohst, Math. Comp.
 1985), breadth-first so that numpy treats every node of a level at
 once; its one budget is the number of nodes a level may hold, summed
 over the targets of one call: ``NODE_CAP``, which a ball may lower.
-``enumerate_ball`` sorts a ball's points by ``_ball_order``, (norm,
-lexicographic): the order ``points_in_ball`` promises and the successive
-norms break ties by.
+``enumerate_ball`` mirrors a ball's half and sorts it by ``_ball_order``,
+(norm, lexicographic): the order ``points_in_ball`` promises and the
+successive norms break ties by.
 
 The empty lattice is ordinary input, answered here and nowhere else: at
 rank 0 ``closest`` returns the targets' norms and zero-width
@@ -264,7 +264,7 @@ def basis_from_generators(gens, zero_tol: float):
     return basis, coeffs, relations
 
 
-def _fincke_pohst(mu, bstar_sq, centres, bound2, cap):
+def _fincke_pohst(mu, bstar_sq, centres, bound2, cap, half=False):
     """Breadth-first Fincke-Pohst search in Gram-Schmidt coordinates.
 
     Row t of ``centres`` is a target in Gram-Schmidt coordinates and
@@ -277,6 +277,9 @@ def _fincke_pohst(mu, bstar_sq, centres, bound2, cap):
     b*_j..b*_{q-1}, which no later choice changes, so pruning loses no
     point.  Raises EnumerationBudgetExceeded when a level would hold
     more than ``cap`` nodes, summed over all targets of the call.
+
+    With ``half`` (one target, 0), node 0 of a level, c = 0 so far, takes
+    c_j >= 0, keeping one of each +-c in order; h nodes count as 2h - 1.
     """
     m, q = centres.shape
     owner = np.arange(m)
@@ -286,8 +289,10 @@ def _fincke_pohst(mu, bstar_sq, centres, bound2, cap):
     for j in range(q - 1, -1, -1):
         w = np.sqrt(np.maximum(rest, 0.0) / bstar_sq[j])
         lo = np.ceil(ctr[:, j] - w)
+        if half:  # Schnorr & Euchner, Math. Programming 66, 1994
+            lo[0] = 0.0
         k = np.floor(ctr[:, j] + w) - lo + 1  # >= 0 because w >= 0
-        total = k.sum()
+        total = 2 * k.sum() - 1 if half else k.sum()
         if total > cap:
             raise EnumerationBudgetExceeded(
                 f"lattice search needs {total:.0f} nodes on one level, "
@@ -320,9 +325,10 @@ def _ball_order(keys: np.ndarray, size_keys: np.ndarray) -> np.ndarray:
 
 
 def enumerate_ball(basis: np.ndarray, radius: float, cap: int = NODE_CAP):
-    """The points of ``LatticeSolver(basis).ball`` with their
-    coefficients, in ``_ball_order``."""
+    """The half ``LatticeSolver(basis).ball`` and its mirror image, 0 - x
+    (+0.0 where x is 0), with their coefficients, in ``_ball_order``."""
     pts, cs = LatticeSolver(basis).ball(radius, cap)[:2]
+    pts, cs = np.vstack([pts, 0.0 - pts[1:]]), np.vstack([cs, -cs[1:]])
     order = _ball_order(*_ball_keys(pts, np.linalg.norm(pts, axis=1)))
     return pts[order], cs[order]
 
@@ -430,19 +436,19 @@ class LatticeSolver:
         return coeffs
 
     def ball(self, radius: float, cap: int = NODE_CAP):
-        """``(points, coeffs, sq_norms)`` of the lattice points of norm
-        at most ``radius * BALL``, the origin included, in search order:
-        for a maximum or a minimum over them.  Raises
-        EnumerationBudgetExceeded when one level of the search would hold
-        more than ``cap`` nodes."""
+        """``(points, coeffs, sq_norms)`` of the origin, first, and of the
+        lattice points of norm at most ``radius * BALL`` whose last nonzero
+        coefficient is positive, one of each pair +-x, in search order: for
+        a maximum or a minimum over them.  Raises EnumerationBudgetExceeded
+        when a level of the whole ball's search would hold over ``cap``."""
         if not 0 <= radius < np.inf:
             raise ValueError("radius must be finite and nonnegative")
-        rcut2 = np.square(radius * BALL)
+        r2 = np.square(radius * BALL)
         _, cs = _fincke_pohst(self._mu, self._bstar_sq,
-                              np.zeros((1, self.rank)), np.array([rcut2]), cap)
+                              np.zeros((1, self.rank)), [r2], cap, half=True)
         pts = cs @ self.basis
         sq = np.einsum("ij,ij->i", pts, pts)
-        keep = sq <= rcut2
+        keep = sq <= r2
         return pts.compress(keep, axis=0), cs.compress(keep, axis=0), sq[keep]
 
     def closest(self, targets: np.ndarray):

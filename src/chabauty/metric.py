@@ -12,9 +12,9 @@ subgroup in a ball, and each direction picks its route once.  From the
 whole space it is exact: min(R, mu), mu the covering radius of the
 target's lattice part, or R when the target is not of full rank.  From
 a lattice towards a full-rank target, it is the exact maximum over the
-ball's points while the ball's search holds at most 65,536 nodes on
-each level: each direction searches one ball, at the largest radius,
-and measures one point of each pair +-x, as dist(-x, H) = dist(x, H).
+ball's points while the search holds at most 65,536 nodes on a level:
+each direction searches one point of each pair +-x, as dist(-x, H) =
+dist(x, H), in one ball at the largest radius, measured in two passes.
 Otherwise sampling the trace densely is hopeless at radius 64, so the
 supremum is computed by certified branch and bound, set up once per
 direction: the group structure gives per-direction Lipschitz bounds
@@ -228,16 +228,13 @@ def _certified_sup(f_batch, int_basis, int_lips, int_bounds, cont_rows,
 
 
 def _half_ball(group: ClosedSubgroup, radius: float):
-    """(points, squared norms) of the group's lattice in the ball, one of
-    each pair +-x (those whose last nonzero coefficient is positive, and
-    0), or None when a level of the search would hold over 65,536 nodes."""
+    """(points, squared norms) of ``LatticeSolver.ball``, one of each pair
+    +-x of the group's lattice in the ball, or None when a level of the
+    whole ball's search would hold over 65,536 nodes."""
     try:
-        pts, cs, sq = _solver(group).ball(radius, cap=65_536)
+        return _solver(group).ball(radius, cap=65_536)[::2]
     except EnumerationBudgetExceeded:
         return None
-    last = cs.shape[1] - 1 - np.argmax(cs[:, ::-1] != 0, axis=1)
-    keep = cs[np.arange(cs.shape[0]), last] >= 0
-    return pts.compress(keep, axis=0), sq.compress(keep)
 
 
 def _basis_match(src: ClosedSubgroup, dst: ClosedSubgroup):
@@ -283,7 +280,8 @@ def _directed_gaps(src: ClosedSubgroup, dst: ClosedSubgroup, radii,
     chosen once: 0 from the trivial group or towards the whole space,
     min(R, mu) from the whole space, and from a lattice to a full-rank
     target the largest distance over the ``_half_ball`` of the largest
-    radius, shell by shell, or if it is refused over each radius's own
+    radius, in two passes (the first radius's points, then the rest,
+    20,000 rows a call), or if it is refused over each radius's own
     ball.  Other pairs, and every radius from the first refused ball on
     (balls nest), go to the branch and bound, set up at its first radius
     and capped at the lesser of mu and the basis match's majorant."""
@@ -299,7 +297,7 @@ def _directed_gaps(src: ClosedSubgroup, dst: ClosedSubgroup, radii,
     else:
         exact = src.continuous_dim == 0 and dst.rank == n
         held, refused = -1.0, (math.inf if exact else 0.0)
-        gap, inner2, nu = 0.0, -1.0, None
+        gap, done2, nu = 0.0, -1.0, None
         for radius in radii:
             for r in (radii[-1], radius):  # the largest ball first
                 if held < radius and r < refused:
@@ -308,11 +306,15 @@ def _directed_gaps(src: ClosedSubgroup, dst: ClosedSubgroup, radii,
             if held >= radius:
                 pts, sq = ball
                 cut2 = np.square(radius * _lattice.BALL)
-                shell = pts.compress((sq > inner2) & (sq <= cut2), axis=0)
-                inner2 = cut2
-                for start in range(0, shell.shape[0], 20_000):
-                    gap = max(gap, float(np.max(
-                        _distances(dst, shell[start:start + 20_000]))))
+                if done2 < cut2:  # this radius's points, then all the rest
+                    new = (sq > done2) & ((sq <= cut2) | (done2 >= 0))
+                    far, far_sq = pts.compress(new, axis=0), sq[new]
+                    far_d = np.concatenate([np.zeros(0)] + [
+                        _distances(dst, far[i:i + 20_000])
+                        for i in range(0, len(far), 20_000)])
+                    done2 = np.square((radius if done2 < 0 else held)
+                                      * _lattice.BALL)
+                gap = float(np.max(far_d[far_sq <= cut2], initial=gap))
                 yield gap
                 continue
             if nu is None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .invariants import INDETERMINATE
-from .subgroup import ClosedSubgroup, make_subgroup
+from .subgroup import ClosedSubgroup, _as_rows, make_subgroup
 
 
 def subgroup_to_dict(group: ClosedSubgroup) -> dict:
@@ -38,7 +38,7 @@ def subgroup_from_dict(data: dict) -> ClosedSubgroup:
     """The subgroup of a schema object; the "type" that ``dual`` writes
     is ignored.  Raises DimensionMismatch for a non-object, an unknown
     key, an ``ambient_dim`` that is not an integer and a basis that is
-    not a list of rows of numbers."""
+    not a list of rows of ``ambient_dim`` numbers, named by its key."""
     keys = ("ambient_dim", "continuous_basis", "discrete_basis", "type")
     if not isinstance(data, dict) or set(data) - set(keys):
         raise DimensionMismatch(f"a subgroup is an object with keys {keys}")
@@ -50,6 +50,8 @@ def subgroup_from_dict(data: dict) -> ClosedSubgroup:
             isinstance(row, list) and all(map(_number, row)) for row in rows)
             for rows in bases):
         raise DimensionMismatch("a basis must be a list of rows of numbers")
+    if n >= 0:  # a shape error names the file's key
+        bases = [_as_rows(rows, n, key) for key, rows in zip(keys[1:3], bases)]
     return make_subgroup(n, *bases)
 
 

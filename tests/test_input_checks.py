@@ -118,7 +118,11 @@ CASES = [
      ValueError, "could not convert string to float: 'a'"),
     ("cli-ragged-basis",
      lambda: cli_info({"ambient_dim": 2, "discrete_basis": [[1, 0], [1]]}),
-     DimensionMismatch, f"discrete generators {RAGGED}"),
+     DimensionMismatch, f"discrete_basis {RAGGED}"),
+    ("cli-continuous-basis-width",
+     lambda: cli_info({"ambient_dim": 2, "continuous_basis": [[1, 0, 0]]}),
+     DimensionMismatch,
+     "continuous_basis must be vectors of length 2, got shape (1, 3)"),
     ("subgroup-standard-type",
      lambda: ch.standard_subgroup(2, 2, 1),
      InvalidType, "type (2,1) does not fit in dimension 2"),

@@ -1,6 +1,7 @@
 """Closest-vector queries, the lattice search budget and the LLL loop,
 checked against the independent oracles in conftest and against
 properties that hold for every input."""
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -60,6 +61,78 @@ def test_search_budget_names_nodes_and_cap():
     message = str(err.value)
     assert re.search(rf"\b{nodes}\b", message)
     assert re.search(r"\b1000\b", message)
+
+
+def half_search_cases(rng, q):
+    """Bases of rank q in R^q and R^(q+1), reduced and skewed, with
+    radii in [0.5, 3]."""
+    for _ in range(6):
+        n = max(q, 1) + int(rng.integers(0, 2))
+        basis = random_group(rng, n, (0, q)).discrete_basis
+        yield basis, float(rng.uniform(0.5, 3.0))
+        if q:
+            yield skewed_basis(rng, q), float(rng.uniform(0.5, 3.0))
+
+
+def last_nonzero(cs):
+    """The last nonzero entry of each row of ``cs``, 0 on a zero row."""
+    return np.array([next((c for c in row[::-1] if c), 0)
+                     for row in cs.tolist()], dtype=np.int64)
+
+
+def whole_search(solver, radius, cap):
+    """The full search of the ball at the origin, as ``ball`` calls it
+    but without ``half``."""
+    return _lattice._fincke_pohst(
+        solver._mu, solver._bstar_sq, np.zeros((1, solver.rank)),
+        np.array([np.square(radius * _lattice.BALL)]), cap)[1]
+
+
+@pytest.mark.parametrize("q", range(5))
+def test_ball_searches_one_of_each_pair(rng, q):
+    # the origin first, then one of each pair +-x, the one whose last
+    # nonzero coefficient is positive: mirrored, it is the whole ball
+    # of an exhaustive box
+    for basis, radius in half_search_cases(rng, q):
+        pts, cs, sq = _lattice.LatticeSolver(basis).ball(radius)
+        assert not cs[0].any()
+        assert (last_nonzero(cs[1:]) > 0).all()
+        np.testing.assert_array_equal(pts, cs @ basis)
+        np.testing.assert_array_equal(sq, np.einsum("ij,ij->i", pts, pts))
+        bound = np.floor(radius * _lattice.BALL
+                         * _lattice.dual_coefficient_norms(basis) + 1e-9)
+        box = np.array(list(itertools.product(
+            *(range(-int(k), int(k) + 1) for k in bound))), dtype=np.int64)
+        inside = np.linalg.norm(box @ basis, axis=1) <= radius * _lattice.BALL
+        assert sorted(map(tuple, np.vstack([cs, -cs[1:]]).tolist())) == \
+            sorted(map(tuple, box[inside].tolist()))
+
+
+@pytest.mark.parametrize("q", range(5))
+def test_half_search_refuses_where_the_whole_search_does(rng, q):
+    # a level of h nodes stands for the full search's 2h - 1, so the half
+    # refuses at the same caps with the same count, and otherwise keeps
+    # the full search's rows whose last nonzero coefficient is positive,
+    # and 0, in its order
+    refusals = 0
+    for basis, radius in half_search_cases(rng, q):
+        solver = _lattice.LatticeSolver(basis)
+        for cap in (1, 2, 3, 5, 10, 30, 100, 300):
+            try:
+                whole = whole_search(solver, radius, cap)
+            except EnumerationBudgetExceeded as exc:
+                refusals += 1
+                with pytest.raises(EnumerationBudgetExceeded) as err:
+                    solver.ball(radius, cap)
+                assert str(err.value) == str(exc)
+                continue
+            cs = solver.ball(radius, cap)[1]
+            pts = whole @ basis
+            keep = (last_nonzero(whole) >= 0) & (
+                np.einsum("ij,ij->i", pts, pts)
+                <= np.square(radius * _lattice.BALL))
+            np.testing.assert_array_equal(cs, whole[keep])
+    assert refusals > 0 or q == 0
 
 
 def test_canonical_rows_matches_the_row_loop():

@@ -1,3 +1,4 @@
+import collections
 import gc
 import math
 import weakref
@@ -267,6 +268,23 @@ def test_saturated_distance_measures_only_the_first_ball():
         got = ch.chabauty_distance(z2, far)
     assert got == _sum_of_gaps(z2, far) == sum(metric.DEFAULT_PARAMS.weights)
     assert [len(call.args[1]) for call in cl.call_args_list] == [3]
+
+
+def test_unsaturated_ball_is_measured_in_two_calls():
+    # a near (0,2) pair stays below 1 at every radius: each direction
+    # measures its first radius's points in one solver call and the
+    # other 6,400 or so points of its top ball in one more
+    rng = np.random.default_rng(0)
+    rot, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    a = ch.apply_linear(rot, ch.standard_subgroup(2, 0, 2))
+    b = ch.apply_linear(np.eye(2) + 1e-3 * rng.normal(size=(2, 2)), a)
+    assert ch.hausdorff_gap(a, b, 64.0) < 1.0
+    with mock.patch.object(_lattice.LatticeSolver, "closest", autospec=True,
+                           side_effect=_lattice.LatticeSolver.closest) as cl:
+        got = ch.chabauty_distance(a, b)
+    assert got == _sum_of_gaps(a, b)
+    calls = collections.Counter(id(c.args[0]) for c in cl.call_args_list)
+    assert len(calls) == 2 and max(calls.values()) <= 2
 
 
 def test_refused_top_ball_searches_radius_by_radius():

@@ -127,11 +127,15 @@ def test_points_in_ball_order_contract(rng):
                                    rtol=0, atol=1e-9)
         keys = [_order_key(p) for p in pts]
         assert keys == sorted(keys)
-        # the sort is the only difference from the search order
+        # the sort is the only difference from the searched half, origin
+        # first, followed by its mirror image
         found, found_coeffs, sq = _lattice.LatticeSolver(
             g.discrete_basis).ball(radius)
         np.testing.assert_allclose(sq, np.linalg.norm(found, axis=1) ** 2,
                                    rtol=1e-12, atol=1e-12)
+        assert not found_coeffs[0].any()
+        found = np.vstack([found, 0.0 - found[1:]])
+        found_coeffs = np.vstack([found_coeffs, -found_coeffs[1:]])
         order = sorted(range(len(found)), key=lambda i: _order_key(found[i]))
         assert np.array_equal(pts, found[order])
         assert np.array_equal(coeffs, found_coeffs[order])
